@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 from . import lr
 from .errors import BasisMismatchError
 from .partition import Partition, subpartitions, term_sort_key
-from .schur_ring import SchurElement, _format_combination, _merge
+from .schur_ring import SchurElement, _check_coefficient, _format_combination, _merge
 from .series import (
     SchurSeries,
     littlewood_series,
@@ -75,8 +75,7 @@ class CharElement:
         table: dict[Partition, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for p, c in items:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be int, got {c!r}")
+            _check_coefficient(c)
             if c:
                 _merge(table, Partition(p), c)
         self._terms = table
@@ -206,6 +205,7 @@ class CharTensorElement:
         table: dict[tuple[Partition, Partition], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (a, b), c in items:
+            _check_coefficient(c)
             if c:
                 _merge(table, (Partition(a), Partition(b)), c)
         self._terms = table

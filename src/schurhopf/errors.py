@@ -17,6 +17,10 @@ class WeightLimitError(PartitionError):
     """Partition weight exceeds the configured safety limit."""
 
 
+class ValueParseError(SchurHopfError, ValueError):
+    """Value text that is not an exact rational, such as "1/0" or "0.5x"."""
+
+
 class DegreeOverflowError(SchurHopfError):
     """A series term beyond the cutoff (or the global limit) was requested."""
 

@@ -23,6 +23,7 @@ from .errors import (
     SingularDenominatorError,
     StableRangeError,
     UnsupportedGroupError,
+    ValueParseError,
 )
 from .partition import Partition, partitions_up_to
 
@@ -146,7 +147,12 @@ def _to_fraction(v) -> Fraction:
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueParseError(f"zero denominator in value {v!r}") from None
+        except ValueError:
+            raise ValueParseError(f"cannot read {v!r} as an exact rational") from None
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 

@@ -7,7 +7,10 @@ SCHURHOPF_KERNEL=python or SCHURHOPF_KERNEL=cython to force a choice.
 
 Every expansion is memoized in a bounded LRU cache (size configurable through
 SCHURHOPF_CACHE_SIZE) because series and character-ring work re-query the
-same small products constantly.  Coefficients are exact Python integers.
+same small products constantly.  The caches hold finished {Partition: int}
+tables, built once per miss from kernel output that is trusted as it stands;
+product_expansion and skew_expansion hand each caller a fresh dict copy, so
+callers may mutate what they get.  Coefficients are exact Python integers.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 
 from . import _lrkernel_py as _pykernel
 from .errors import WeightLimitError
-from .partition import Partition, get_weight_limit
+from .partition import Partition, _unchecked, get_weight_limit
 
 
 def _pick_kernel():
@@ -67,26 +70,28 @@ def _kernel_for(rows: int):
     return _kernel if rows < _KERNEL_ROW_LIMIT else _pykernel
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _product_terms(lam: tuple, mu: tuple) -> tuple:
-    table = _kernel_for(len(lam) + len(mu)).expand_product(lam, mu)
-    return tuple(sorted(table.items()))
+def _finished(table: dict) -> dict[Partition, int]:
+    return {_unchecked(k): v for k, v in table.items()}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
+def _product_terms(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    return _finished(_kernel_for(len(lam) + len(mu)).expand_product(lam, mu))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _kernel_for(len(nu) + 1).product_coefficient(lam, mu, nu)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _skew_terms(outer: tuple, inner: tuple) -> tuple:
+def _skew_terms(outer: Partition, inner: Partition) -> dict[Partition, int]:
     # Pieri fast paths: skewing by one row (or one column) is strip removal
     if len(inner) == 1:
-        return tuple(sorted(_row_strip_removals(outer, inner[0]).items()))
+        return _finished(_row_strip_removals(outer, inner[0]))
     if inner and inner[0] == 1:
-        return tuple(sorted(_column_strip_removals(outer, len(inner)).items()))
-    table = _kernel_for(len(outer) + 1).expand_skew(outer, inner)
-    return tuple(sorted(table.items()))
+        return _finished(_column_strip_removals(outer, len(inner)))
+    return _finished(_kernel_for(len(outer) + 1).expand_skew(outer, inner))
 
 
 def _row_strip_removals(outer, size):
@@ -151,14 +156,14 @@ def product_expansion(lam, mu) -> dict[Partition, int]:
     lam = Partition(lam)
     mu = Partition(mu)
     _check_result_weight(lam.weight + mu.weight)
-    return {Partition(k): v for k, v in _product_terms(tuple(lam), tuple(mu))}
+    return dict(_product_terms(lam, mu))
 
 
 def skew_expansion(outer, inner) -> dict[Partition, int]:
     """Coefficient table of s_{outer/inner} as {Partition: int}."""
     outer = Partition(outer)
     inner = Partition(inner)
-    return {Partition(k): v for k, v in _skew_terms(tuple(outer), tuple(inner))}
+    return dict(_skew_terms(outer, inner))
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -170,7 +175,7 @@ def lr_coefficient(lam, mu, nu) -> int:
         return 0
     if not (nu.contains(lam) and nu.contains(mu)):
         return 0
-    return _coefficient(tuple(lam), tuple(mu), tuple(nu))
+    return _coefficient(lam, mu, nu)
 
 
 def lr_expand_product(lam, mu):

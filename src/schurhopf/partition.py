@@ -4,6 +4,16 @@ A partition is stored canonically as a tuple of weakly decreasing positive
 integers; the empty tuple is the zero partition.  Partition weight is capped
 by a configurable limit (default 64) so malformed input fails fast instead of
 exhausting memory.
+
+Shapes are validated once, where they enter the package: parse_partition,
+the Partition constructor on anything that is not yet a Partition, and the
+element constructors and from_json readers built on it.  Past that point a
+Partition is trusted: Partition(p) returns p itself when p is already a
+Partition within the current weight limit, and code that derives new shapes
+from trusted ones (conjugation, enumeration, the LR kernels) wraps them with
+_unchecked, which skips every check.  Its contract is that the caller
+guarantees a weakly decreasing tuple of positive ints whose weight is within
+the limit.
 """
 
 from __future__ import annotations
@@ -40,13 +50,17 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        # a trusted shape passes through; only the weight limit may have moved
+        if type(parts) is cls and sum(parts) <= _weight_limit:
+            return parts
         t = tuple(parts)
+        for p in t:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise PartitionError(f"parts must be integers, got {p!r}")
         # strip trailing zeros so (2, 1, 0, 0) and (2, 1) coincide
         while t and t[-1] == 0:
             t = t[:-1]
         for i, p in enumerate(t):
-            if not isinstance(p, int):
-                raise PartitionError(f"parts must be integers, got {p!r}")
             if p <= 0:
                 raise PartitionError(f"parts must be positive, got {p}")
             if i and t[i - 1] < p:
@@ -73,7 +87,7 @@ class Partition(tuple):
         for part in self:
             for j in range(part):
                 cols[j] += 1
-        return Partition(cols)
+        return _unchecked(cols)
 
     def contains(self, other: Iterable[int]) -> bool:
         """Diagram containment: other fits inside self row by row."""
@@ -121,6 +135,15 @@ class Partition(tuple):
         return format_partition(self)
 
 
+def _unchecked(parts: Iterable[int]) -> Partition:
+    """Wrap parts as a Partition without validating them.
+
+    The caller guarantees a weakly decreasing sequence of positive ints whose
+    weight is within the current limit.
+    """
+    return tuple.__new__(Partition, parts)
+
+
 ZERO = Partition()
 
 
@@ -157,7 +180,10 @@ def parse_partition(text: str) -> Partition:
 
 
 def _parse_compact(t: str, text: str) -> Partition:
+    # the weight is checked as runs are read, so "1^5000000" is rejected
+    # before any list of that length exists
     parts = []
+    weight = 0
     i = 0
     n = len(t)
     while i < n:
@@ -177,10 +203,19 @@ def _parse_compact(t: str, text: str) -> Partition:
                 j += 1
             if j == i:
                 raise PartitionError(f"missing exponent after ^ in {text!r}")
-            mult = int(t[i:j])
-            if mult < 1:
+            digits = t[i:j].lstrip("0")
+            if not digits:
                 raise PartitionError(f"exponent must be positive in {text!r}")
+            # more digits than the limit has means over it; int() never sees
+            # a huge digit string
+            too_long = len(digits) > len(str(_weight_limit))
+            mult = _weight_limit + 1 if too_long else int(digits)
             i = j
+        weight += part * mult
+        if weight > _weight_limit:
+            raise WeightLimitError(
+                f"partition weight exceeds the limit {_weight_limit} in {text!r}"
+            )
         parts.extend([part] * mult)
     return Partition(parts)
 
@@ -228,9 +263,13 @@ def partitions_of(d: int, max_part: int | None = None) -> list[Partition]:
     """
     if d < 0:
         return []
+    if d > _weight_limit:
+        raise WeightLimitError(
+            f"partition weight {d} exceeds the limit {_weight_limit}"
+        )
     if max_part is None:
         max_part = d
-    return [Partition(raw) for raw in _descending_parts(d, max_part)]
+    return [_unchecked(raw) for raw in _descending_parts(d, max_part)]
 
 
 def _descending_parts(d, max_part):
@@ -252,7 +291,7 @@ def partitions_up_to(d: int) -> list[Partition]:
 
 def subpartitions(p: Iterable[int]) -> Iterator[Partition]:
     """All partitions whose diagram fits inside p (any weight, p included)."""
-    p = tuple(p)
+    p = Partition(p)
 
     def rec(i, prev):
         if i == len(p):
@@ -267,7 +306,7 @@ def subpartitions(p: Iterable[int]) -> Iterator[Partition]:
                 yield (v,) + rest
 
     for raw in rec(0, p[0] if p else 0):
-        yield Partition(raw)
+        yield _unchecked(raw)
 
 
 def distinct_partitions_of(d: int) -> Iterator[tuple[int, ...]]:

@@ -48,6 +48,12 @@ def _format_combination(items, open_b: str, close_b: str) -> str:
     return "".join(chunks)
 
 
+def _check_coefficient(c) -> None:
+    # bool is a subclass of int, but True is not a coefficient
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise TypeError(f"coefficients must be int, got {c!r}")
+
+
 def _merge(table: dict, key, coeff: int) -> None:
     new = table.get(key, 0) + coeff
     if new:
@@ -65,8 +71,7 @@ class SchurElement:
         table: dict[Partition, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for p, c in items:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be int, got {c!r}")
+            _check_coefficient(c)
             if c:
                 _merge(table, Partition(p), c)
         self._terms = table
@@ -245,8 +250,7 @@ class TensorElement:
         table: dict[tuple[Partition, Partition], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (a, b), c in items:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be int, got {c!r}")
+            _check_coefficient(c)
             if c:
                 _merge(table, (Partition(a), Partition(b)), c)
         self._terms = table
@@ -370,46 +374,3 @@ class TensorElement:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-
-# Operation-style aliases.  The method spellings above are the primary API;
-# these exist so callers can write the algebra maps as plain functions.
-
-def add(x: SchurElement, y: SchurElement) -> SchurElement:
-    return x + y
-
-
-def multiply(x: SchurElement, y: SchurElement) -> SchurElement:
-    return x * y
-
-
-def skew(x: SchurElement, y) -> SchurElement:
-    return x.skew(y)
-
-
-def scalar_product(x: SchurElement, y: SchurElement) -> int:
-    return x.scalar_product(y)
-
-
-def coproduct(x: SchurElement) -> TensorElement:
-    return x.coproduct()
-
-
-def counit(x: SchurElement) -> int:
-    return x.counit()
-
-
-def antipode(x: SchurElement) -> SchurElement:
-    return x.antipode()
-
-
-def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x * y
-
-
-def unit() -> SchurElement:
-    return SchurElement.one()
-
-
-def zero() -> SchurElement:
-    return SchurElement.zero()

@@ -263,3 +263,12 @@ def test_str_renderings():
     assert str(X(Basis.SP, (1, 1))) == "⟨1^2⟩"
     assert str(branch_gl_to_o(P((2, 2, 1, 1)))) == "[2^2 1^2]+[21^2]+[1^2]"
     assert str(convert(X(Basis.SP, (1, 1)), Basis.GL)) == "{1^2}-{0}"
+
+
+def test_construction_rejects_bool_coefficients():
+    with pytest.raises(TypeError):
+        CharElement(Basis.O, {(1,): True})
+    with pytest.raises(TypeError):
+        CharTensorElement(Basis.SP, {((1,), ()): True})
+    with pytest.raises(TypeError):
+        CharTensorElement(Basis.SP, {((1,), ()): 0.5})

@@ -195,6 +195,10 @@ def test_eval_error_exit_codes(capsys):
     code, _, err = run(capsys, "eval", "--group", "GL(2)", "--values", "0,1", "1")
     assert code == 2
     assert "nonzero" in err
+    code, out, err = run(capsys, "eval", "--group", "GL(2)", "--values", "1/0,1", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "denominator" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -215,3 +219,63 @@ def test_main_returns_int_not_raises():
     assert isinstance(cli.main(["schur", "counit", "0"]), int)
     with pytest.raises(TypeError):
         cli.main(0)
+
+
+# Complete stdout of result tables, fixed before the LR caches began handing
+# out tables in kernel order instead of sorted order.
+GOLDEN_STDOUT = [
+    (("schur", "mul", "21", "21"),
+     "{42}+{41^2}+{3^2}+2{321}+{31^3}+{2^3}+{2^2 1^2}\n",
+     '{"terms": [{"partition": [4, 2], "coeff": 1}, {"partition": [4, 1, 1], '
+     '"coeff": 1}, {"partition": [3, 3], "coeff": 1}, {"partition": [3, 2, 1], '
+     '"coeff": 2}, {"partition": [3, 1, 1, 1], "coeff": 1}, {"partition": '
+     '[2, 2, 2], "coeff": 1}, {"partition": [2, 2, 1, 1], "coeff": 1}]}\n'),
+    (("schur", "mul", "3,1", "2,1,1"),
+     "{521}+{51^3}+{431}+{42^2}+2{421^2}+{41^4}+{3^2 1^2}+{32^2 1}+{321^3}\n",
+     '{"terms": [{"partition": [5, 2, 1], "coeff": 1}, {"partition": '
+     '[5, 1, 1, 1], "coeff": 1}, {"partition": [4, 3, 1], "coeff": 1}, '
+     '{"partition": [4, 2, 2], "coeff": 1}, {"partition": [4, 2, 1, 1], '
+     '"coeff": 2}, {"partition": [4, 1, 1, 1, 1], "coeff": 1}, {"partition": '
+     '[3, 3, 1, 1], "coeff": 1}, {"partition": [3, 2, 2, 1], "coeff": 1}, '
+     '{"partition": [3, 2, 1, 1, 1], "coeff": 1}]}\n'),
+    (("schur", "skew", "4,3,1", "2,1"),
+     "{41}+2{32}+{31^2}+{2^2 1}\n",
+     '{"terms": [{"partition": [4, 1], "coeff": 1}, {"partition": [3, 2], '
+     '"coeff": 2}, {"partition": [3, 1, 1], "coeff": 1}, {"partition": '
+     '[2, 2, 1], "coeff": 1}]}\n'),
+    (("schur", "skew", "3^2", "1"),
+     "{32}\n",
+     '{"terms": [{"partition": [3, 2], "coeff": 1}]}\n'),
+    (("schur", "coproduct", "21"),
+     "{21}⊗{0}+{2}⊗{1}+{1^2}⊗{1}+{1}⊗{2}+{1}⊗{1^2}+{0}⊗{21}\n",
+     '{"terms": [{"left": [2, 1], "right": [], "coeff": 1}, {"left": [2], '
+     '"right": [1], "coeff": 1}, {"left": [1, 1], "right": [1], "coeff": 1}, '
+     '{"left": [1], "right": [2], "coeff": 1}, {"left": [1], "right": [1, 1], '
+     '"coeff": 1}, {"left": [], "right": [2, 1], "coeff": 1}]}\n'),
+    (("schur", "coproduct", "3,1"),
+     "{31}⊗{0}+{3}⊗{1}+{21}⊗{1}+{2}⊗{2}+{2}⊗{1^2}+{1^2}⊗{2}+{1}⊗{3}"
+     "+{1}⊗{21}+{0}⊗{31}\n",
+     '{"terms": [{"left": [3, 1], "right": [], "coeff": 1}, {"left": [3], '
+     '"right": [1], "coeff": 1}, {"left": [2, 1], "right": [1], "coeff": 1}, '
+     '{"left": [2], "right": [2], "coeff": 1}, {"left": [2], "right": [1, 1], '
+     '"coeff": 1}, {"left": [1, 1], "right": [2], "coeff": 1}, {"left": [1], '
+     '"right": [3], "coeff": 1}, {"left": [1], "right": [2, 1], "coeff": 1}, '
+     '{"left": [], "right": [3, 1], "coeff": 1}]}\n'),
+    (("char", "tensor", "--basis", "O", "21", "1"),
+     "[31]+[2^2]+[21^2]+[2]+[1^2]\n",
+     '{"basis": "O", "terms": [{"partition": [3, 1], "coeff": 1}, '
+     '{"partition": [2, 2], "coeff": 1}, {"partition": [2, 1, 1], "coeff": 1}, '
+     '{"partition": [2], "coeff": 1}, {"partition": [1, 1], "coeff": 1}]}\n'),
+    (("char", "tensor", "--basis", "O", "2", "2"),
+     "[4]+[31]+[2^2]+[2]+[1^2]+[0]\n",
+     '{"basis": "O", "terms": [{"partition": [4], "coeff": 1}, {"partition": '
+     '[3, 1], "coeff": 1}, {"partition": [2, 2], "coeff": 1}, {"partition": '
+     '[2], "coeff": 1}, {"partition": [1, 1], "coeff": 1}, {"partition": [], '
+     '"coeff": 1}]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,text,json_text", GOLDEN_STDOUT)
+def test_result_table_stdout_goldens(capsys, argv, text, json_text):
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, json_text, "")

@@ -197,3 +197,30 @@ def test_cache_utilities():
 
 def test_kernel_name_reports_backend():
     assert lr.kernel_name() in ("cython", "python")
+
+
+def test_returned_tables_are_fresh_copies():
+    lr.clear_caches()
+    prod = lr.product_expansion(P((2, 1)), P((1,)))
+    expect = dict(prod)
+    prod[P((9,))] = 7
+    prod.pop(P((3, 1)))
+    assert lr.product_expansion(P((2, 1)), P((1,))) == expect
+    skew = lr.skew_expansion(P((3, 2, 1)), P((2, 1)))
+    expect = dict(skew)
+    skew.clear()
+    assert lr.skew_expansion(P((3, 2, 1)), P((2, 1))) == expect
+
+
+@given(small_partition(6), small_partition(6))
+@settings(max_examples=60, deadline=None)
+def test_tuple_and_partition_inputs_agree(lam, mu):
+    prod = lr.product_expansion(lam, mu)
+    assert lr.product_expansion(tuple(lam), list(mu)) == prod
+    assert all(type(k) is Partition for k in prod)
+    skew = lr.skew_expansion(lam, mu)
+    assert lr.skew_expansion(tuple(lam), tuple(mu)) == skew
+    assert all(type(k) is Partition for k in skew)
+    for nu, c in prod.items():
+        assert lr.lr_coefficient(tuple(lam), tuple(mu), tuple(nu)) == c
+        assert lr.lr_coefficient(lam, mu, nu) == c

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -32,6 +34,8 @@ def test_construction_canonicalizes():
     assert Partition((3, 2, 0, 0)) == Partition((3, 2))
     assert Partition([]) == Partition(())
     assert tuple(Partition((4, 4, 1))) == (4, 4, 1)
+    p = Partition((3, 1))
+    assert Partition(p) is p
 
 
 def test_construction_rejects_bad_shapes():
@@ -41,6 +45,9 @@ def test_construction_rejects_bad_shapes():
         Partition((2, -1))
     with pytest.raises(PartitionError):
         Partition((2, 0, 1))
+    for parts in ((True,), (True, True), (2, False)):
+        with pytest.raises(PartitionError):
+            Partition(parts)
 
 
 def test_weight_and_length():
@@ -205,10 +212,42 @@ def test_term_sort_key_orders_by_weight_then_revlex():
 def test_weight_limit_guard():
     with pytest.raises(WeightLimitError):
         Partition((65,))
+    with pytest.raises(WeightLimitError):
+        partitions_of(65)
+    built_earlier = Partition((5, 5, 5, 5))
     set_weight_limit(10)
     try:
         with pytest.raises(WeightLimitError):
             Partition((11,))
+        with pytest.raises(WeightLimitError):
+            Partition(built_earlier)
         assert Partition((10,)).weight == 10
     finally:
         set_weight_limit(64)
+
+
+def test_compact_parse_checks_weight_while_reading():
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightLimitError):
+            parse_partition("1^200000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # expanding the run first would build a 200000-entry list (1.6 MB)
+    assert peak < 100_000
+    with pytest.raises(WeightLimitError):
+        parse_partition("1^" + "9" * 5000)
+    assert parse_partition("1^0064") == Partition((1,) * 64)
+
+
+def _revalidated(p):
+    q = Partition(tuple(p))
+    return type(p) is Partition and q == p
+
+
+@given(partition_strategy())
+def test_derived_shapes_are_valid_partitions(p):
+    assert _revalidated(p.conjugate())
+    assert all(_revalidated(q) for q in subpartitions(p))
+    assert all(_revalidated(q) for q in partitions_of(p.weight))

@@ -29,6 +29,10 @@ def test_construction_rejects_non_integer_coefficients():
         SchurElement({P((1,)): 0.5})
     with pytest.raises(TypeError):
         SchurElement({P((1,)): "2"})
+    with pytest.raises(TypeError):
+        SchurElement({P((1,)): True})
+    with pytest.raises(TypeError):
+        TensorElement({(P((1,)), P((1,))): True})
 
 
 def test_additive_group():
@@ -180,3 +184,4 @@ def test_ring_axioms(x, y, z):
     assert x * y == y * x
     assert (x + y) * z == x * z + y * z
     assert x * SchurElement.one() == x
+
