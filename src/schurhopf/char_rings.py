@@ -16,6 +16,13 @@ so conversion, branching and the Newell-Littlewood tensor products
 all reduce to Littlewood-Richardson arithmetic.  Mixed-basis arithmetic is
 rejected; convert explicitly.  Conversions and antipodes can produce negative
 coefficients, branchings and tensor products cannot.
+
+`CharElement` and `CharTensorElement` are the term tables of `schur_ring`
+(`TermTable`, `PairTable`) tagged with their basis by `BasisTagged`; the tag
+adds the basis check, the brackets and the JSON "basis" field.  The ring maps
+below build their results with the trusted `_trusted(table, basis)`, under
+the contract stated in `schur_ring`: canonical keys, no zero coefficients, and
+a dict that no one else holds.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from typing import Iterable, Mapping
 
 from . import lr
 from .errors import BasisMismatchError
-from .partition import Partition, subpartitions, term_sort_key
-from .schur_ring import SchurElement, _check_coefficient, _format_combination, _merge
+from .partition import Partition, subpartitions
+from .schur_ring import PairTable, SchurElement, TermTable, _merge
 from .series import (
     SchurSeries,
     littlewood_series,
@@ -63,49 +70,53 @@ _BRACKETS = {
 }
 
 
-class CharElement:
-    """An integer combination of universal characters in a single basis."""
+class BasisTagged:
+    """Tags a term table with a character basis.
 
-    __slots__ = ("basis", "_terms")
+    The tag brings the basis check on sums and products, the brackets of the
+    rendering and the "basis" field of the JSON form; the table itself is the
+    `schur_ring` core.
+    """
 
-    def __init__(self, basis: Basis, terms: Mapping | Iterable = ()):
-        if not isinstance(basis, Basis):
-            basis = Basis.parse(basis)
-        self.basis = basis
-        table: dict[Partition, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for p, c in items:
-            _check_coefficient(c)
-            if c:
-                _merge(table, Partition(p), c)
-        self._terms = table
+    __slots__ = ()
 
-    @classmethod
-    def basis_element(cls, basis: Basis, p) -> "CharElement":
-        return cls(basis, {Partition(p): 1})
-
-    @classmethod
-    def _raw(cls, basis: Basis, table: dict) -> "CharElement":
-        e = cls.__new__(cls)
-        e.basis = basis
-        e._terms = {p: c for p, c in table.items() if c}
-        return e
-
-    def coefficient(self, p) -> int:
-        return self._terms.get(Partition(p), 0)
-
-    def items(self):
-        return self._terms.items()
-
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))
+    def __init__(self, basis: Basis | str, terms: Mapping | Iterable = ()):
+        tag = basis if isinstance(basis, Basis) else Basis.parse(basis)
+        super().__init__(terms)
+        self._tag = tag
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    def basis(self) -> Basis:
+        return self._tag
 
-    def __len__(self) -> int:
-        return len(self._terms)
+    @property
+    def _brackets(self) -> tuple[str, str]:
+        return self._tag.brackets
+
+    def _check(self, other) -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if other._tag is not self._tag:
+            raise BasisMismatchError(
+                f"cannot combine {self._tag.value} and {other._tag.value} "
+                "elements; convert() one of them first"
+            )
+
+    def to_json(self) -> dict:
+        return {"basis": self._tag.value, **super().to_json()}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._tag.value}, {dict(self.sorted_terms())!r})"
+
+
+class CharElement(BasisTagged, TermTable):
+    """An integer combination of universal characters in a single basis."""
+
+    __slots__ = ()
+
+    @classmethod
+    def basis_element(cls, basis: Basis | str, p) -> "CharElement":
+        return cls(basis, [(p, 1)])
 
     def max_degree(self) -> int:
         return max((p.weight for p in self._terms), default=0)
@@ -116,64 +127,12 @@ class CharElement:
         Only honest for GL elements; internal conversions use it after
         skewing by the appropriate series.
         """
-        return SchurElement(self._terms)
-
-    def _check(self, other: "CharElement") -> None:
-        if not isinstance(other, CharElement):
-            raise TypeError("expected a CharElement")
-        if other.basis is not self.basis:
-            raise BasisMismatchError(
-                f"cannot combine {self.basis.value} and {other.basis.value} "
-                "elements; convert() one of them first"
-            )
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CharElement):
-            return self.basis is other.basis and self._terms == other._terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other) -> "CharElement":
-        self._check(other)
-        table = dict(self._terms)
-        for p, c in other._terms.items():
-            _merge(table, p, c)
-        return CharElement._raw(self.basis, table)
-
-    def __sub__(self, other) -> "CharElement":
-        self._check(other)
-        table = dict(self._terms)
-        for p, c in other._terms.items():
-            _merge(table, p, -c)
-        return CharElement._raw(self.basis, table)
-
-    def __neg__(self) -> "CharElement":
-        return CharElement._raw(self.basis, {p: -c for p, c in self._terms.items()})
+        return SchurElement._trusted(dict(self._terms))
 
     def __mul__(self, other):
         if isinstance(other, CharElement):
-            self._check(other)
             return char_multiply(self, other)
-        if isinstance(other, int):
-            return CharElement._raw(
-                self.basis,
-                {} if other == 0 else {p: other * c for p, c in self._terms.items()},
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis.value,
-            "terms": [
-                {"partition": list(p), "coeff": c} for p, c in self.sorted_terms()
-            ],
-        }
+        return self._scaled(other)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharElement":
@@ -182,75 +141,11 @@ class CharElement:
             ((t["partition"], t["coeff"]) for t in obj["terms"]),
         )
 
-    def __str__(self) -> str:
-        ob, cb = self.basis.brackets
-        return _format_combination(self._terms.items(), ob, cb)
 
-    def __repr__(self) -> str:
-        return f"CharElement({self.basis.value}, {dict(self.sorted_terms())!r})"
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-
-class CharTensorElement:
+class CharTensorElement(BasisTagged, PairTable):
     """A two-slot tensor with both slots in the same character basis."""
 
-    __slots__ = ("basis", "_terms")
-
-    def __init__(self, basis: Basis, terms: Mapping | Iterable = ()):
-        if not isinstance(basis, Basis):
-            basis = Basis.parse(basis)
-        self.basis = basis
-        table: dict[tuple[Partition, Partition], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (a, b), c in items:
-            _check_coefficient(c)
-            if c:
-                _merge(table, (Partition(a), Partition(b)), c)
-        self._terms = table
-
-    def coefficient(self, left, right) -> int:
-        return self._terms.get((Partition(left), Partition(right)), 0)
-
-    def items(self):
-        return self._terms.items()
-
-    def sorted_terms(self):
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1])),
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CharTensorElement):
-            return self.basis is other.basis and self._terms == other._terms
-        return NotImplemented
-
-    __hash__ = None
-
-    def to_json(self) -> dict:
-        return {
-            "basis": self.basis.value,
-            "terms": [
-                {"left": list(a), "right": list(b), "coeff": c}
-                for (a, b), c in self.sorted_terms()
-            ],
-        }
-
-    def __str__(self) -> str:
-        ob, cb = self.basis.brackets
-        return _format_combination(self._terms.items(), ob, cb)
-
-    def __repr__(self) -> str:
-        return f"CharTensorElement({self.basis.value}, {dict(self.sorted_terms())!r})"
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -281,30 +176,30 @@ _CONVERSION = {
 }
 
 
+def _skewed(x: SchurElement, series: SchurSeries, basis: Basis) -> CharElement:
+    """x / series, read in `basis`; skew_by_series returns a fresh table."""
+    return CharElement._trusted(skew_by_series(x, series)._terms, basis)
+
+
 def convert(x: CharElement, to: Basis | str) -> CharElement:
     """Rewrite x in another basis of the same underlying ring."""
     to = to if isinstance(to, Basis) else Basis.parse(to)
     if to is x.basis:
-        return CharElement._raw(to, dict(x._terms))
+        return CharElement._trusted(dict(x._terms), to)
     series = _series_for(_CONVERSION[(x.basis, to)], max(x.max_degree(), 0))
-    out = skew_by_series(x.as_schur_element(), series)
-    return CharElement._raw(to, dict(out.items()))
+    return _skewed(x.as_schur_element(), series, to)
 
 
 def branch_gl_to_o(lam) -> CharElement:
     """Restriction of the GL character {lam} to the orthogonal subgroup."""
     lam = Partition(lam)
-    series = littlewood_series("D", lam.weight)
-    out = skew_by_series(SchurElement.basis(lam), series)
-    return CharElement._raw(Basis.O, dict(out.items()))
+    return _skewed(SchurElement.basis(lam), littlewood_series("D", lam.weight), Basis.O)
 
 
 def branch_gl_to_sp(lam) -> CharElement:
     """Restriction of the GL character {lam} to the symplectic subgroup."""
     lam = Partition(lam)
-    series = littlewood_series("B", lam.weight)
-    out = skew_by_series(SchurElement.basis(lam), series)
-    return CharElement._raw(Basis.SP, dict(out.items()))
+    return _skewed(SchurElement.basis(lam), littlewood_series("B", lam.weight), Basis.SP)
 
 
 def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
@@ -318,7 +213,7 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
     lam = Partition(lam)
     mu = Partition(mu)
     if basis is Basis.GL:
-        return CharElement._raw(Basis.GL, lr.product_expansion(lam, mu))
+        return CharElement._trusted(lr.product_expansion(lam, mu), Basis.GL)
     small, big = (lam, mu) if lam.weight <= mu.weight else (mu, lam)
     table: dict[Partition, int] = {}
     for sigma in subpartitions(small):
@@ -330,7 +225,7 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
             for q, b in right.items():
                 for r, c in lr.product_expansion(p, q).items():
                     _merge(table, r, a * b * c)
-    return CharElement._raw(basis, table)
+    return CharElement._trusted(table, basis)
 
 
 def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
@@ -360,7 +255,7 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
                 for r, c in lr.product_expansion(p, q).items():
                     _merge(table, r, b * x * y * c)
     label = {"D": Basis.O, "B": Basis.SP}.get(t.name or "", Basis.GL)
-    return CharElement._raw(label, table)
+    return CharElement._trusted(table, label)
 
 
 def char_multiply(x: CharElement, y: CharElement) -> CharElement:
@@ -371,7 +266,7 @@ def char_multiply(x: CharElement, y: CharElement) -> CharElement:
         for q, b in y.items():
             for r, c in tensor_product(p, q, x.basis).items():
                 _merge(table, r, a * b * c)
-    return CharElement._raw(x.basis, table)
+    return CharElement._trusted(table, x.basis)
 
 
 # Coproduct recipes per basis: Delta sends a basis character to
@@ -394,16 +289,11 @@ def char_coproduct(x: CharElement) -> CharTensorElement:
             if series is None:
                 right = {zeta: 1}
             else:
-                right = dict(
-                    skew_by_series(SchurElement.basis(zeta), series).items()
-                )
+                right = skew_by_series(SchurElement.basis(zeta), series)
             for p, u in left.items():
                 for q, v in right.items():
                     _merge(table, (p, q), a * u * v)
-    t = CharTensorElement.__new__(CharTensorElement)
-    t.basis = x.basis
-    t._terms = table
-    return t
+    return CharTensorElement._trusted(table, x.basis)
 
 
 def _counit_weights(x: CharElement, series_name: str) -> int:
@@ -439,4 +329,4 @@ def char_antipode(x: CharElement) -> CharElement:
         series = _series_for(series_name, conj.weight)
         for q, u in skew_by_series(SchurElement.basis(conj), series).items():
             _merge(table, q, sign * c * u)
-    return CharElement._raw(x.basis, table)
+    return CharElement._trusted(table, x.basis)

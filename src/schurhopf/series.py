@@ -26,9 +26,8 @@ from .partition import (
     distinct_partitions_of,
     get_weight_limit,
     partitions_of,
-    term_sort_key,
 )
-from .schur_ring import SchurElement, TensorElement
+from .schur_ring import PairTable, SchurElement, TensorElement, _merge
 
 DEFAULT_CUTOFF = 8
 
@@ -206,46 +205,42 @@ def skew_by_series(x: SchurElement, s: SchurSeries) -> SchurElement:
     return total
 
 
-class TensorSeriesCoefficients:
+class TensorSeriesCoefficients(PairTable):
     """Coefficient table b_{sigma,tau} of a twisted coproduct, graded by
-    total degree and truncated at a cutoff."""
+    total degree and truncated at a cutoff (the table's tag)."""
+
+    __slots__ = ()
 
     def __init__(self, entries: dict, cutoff: int):
-        self._entries = {k: v for k, v in entries.items() if v}
-        self.cutoff = cutoff
+        super().__init__(entries)
+        self._tag = cutoff
 
-    def coefficient(self, sigma, tau) -> int:
-        return self._entries.get((Partition(sigma), Partition(tau)), 0)
-
-    def items(self):
-        return self._entries.items()
-
-    def sorted_terms(self):
-        return sorted(
-            self._entries.items(),
-            key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1])),
-        )
+    @property
+    def cutoff(self) -> int:
+        return self._tag
 
     def diagonal_defects(self, through: int | None = None) -> list:
         """Entries violating b_{sigma,tau} = delta_{sigma,tau}, as witnesses."""
         limit = self.cutoff if through is None else through
         bad = []
-        for (s, t), c in self._entries.items():
+        for (s, t), c in self._terms.items():
             if s.weight + t.weight > limit:
                 continue
             if (s == t and c != 1) or (s != t and c != 0):
                 bad.append(((s, t), c))
         for w in range(limit // 2 + 1):
             for p in partitions_of(w):
-                if (p, p) not in self._entries:
+                if (p, p) not in self._terms:
                     bad.append(((p, p), 0))
         return bad
 
     def __repr__(self) -> str:
         return (
-            f"TensorSeriesCoefficients({len(self._entries)} terms, "
+            f"TensorSeriesCoefficients({len(self._terms)} terms, "
             f"cutoff={self.cutoff})"
         )
+
+    __str__ = __repr__
 
 
 def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSeriesCoefficients:
@@ -278,5 +273,5 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
                 continue
             total = total + left * right
         for key, c in total.items():
-            entries[key] = entries.get(key, 0) + c
-    return TensorSeriesCoefficients(entries, cut)
+            _merge(entries, key, c)
+    return TensorSeriesCoefficients._trusted(entries, cut)

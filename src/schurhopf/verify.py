@@ -474,13 +474,14 @@ def check_compatibility(bound: int = 6) -> CheckResult:
 
 def check_skew_of_skew(bound: int = 7) -> CheckResult:
     witness = None
+    shapes = [partitions_of(w) for w in range(bound + 1)]
     for wl in range(bound + 1):
-        for lam in partitions_of(wl):
+        for lam in shapes[wl]:
             x = SchurElement.basis(lam)
             for wm in range(wl + 1):
-                for mu in partitions_of(wm):
+                for mu in shapes[wm]:
                     for wn in range(wl - wm + 1):
-                        for nu in partitions_of(wn):
+                        for nu in shapes[wn]:
                             lhs = x.skew(mu).skew(nu)
                             rhs = x.skew(SchurElement.basis(mu) * SchurElement.basis(nu))
                             if lhs != rhs:
@@ -501,19 +502,21 @@ def check_skew_of_skew(bound: int = 7) -> CheckResult:
 
 def check_skew_of_product(bound: int = 6) -> CheckResult:
     witness = None
+    shapes = [partitions_of(w) for w in range(bound + 1)]
+    up_to = [partitions_up_to(w) for w in range(bound + 1)]
     for total in range(bound + 1):
         for wm in range(total + 1):
-            for mu in partitions_of(wm):
+            for mu in shapes[wm]:
                 x = SchurElement.basis(mu)
-                for nu in partitions_of(total - wm):
+                for nu in shapes[total - wm]:
                     y = SchurElement.basis(nu)
                     prod = x * y
                     for wr in range(total + 1):
-                        for rho in partitions_of(wr):
+                        for rho in shapes[wr]:
                             lhs = prod.skew(rho)
                             rhs = SchurElement.zero()
-                            for sigma in partitions_up_to(wr):
-                                for tau in partitions_of(wr - sigma.weight):
+                            for sigma in up_to[wr]:
+                                for tau in shapes[wr - sigma.weight]:
                                     c = lr_coefficient(sigma, tau, rho)
                                     if c:
                                         rhs = rhs + (x.skew(sigma) * y.skew(tau)) * c

@@ -272,3 +272,5 @@ def test_construction_rejects_bool_coefficients():
         CharTensorElement(Basis.SP, {((1,), ()): True})
     with pytest.raises(TypeError):
         CharTensorElement(Basis.SP, {((1,), ()): 0.5})
+    with pytest.raises(TypeError):
+        X(Basis.O, (1,)) * True

@@ -33,6 +33,13 @@ def test_construction_rejects_non_integer_coefficients():
         SchurElement({P((1,)): True})
     with pytest.raises(TypeError):
         TensorElement({(P((1,)), P((1,))): True})
+    # scaling by a bool is rejected like a bool coefficient
+    with pytest.raises(TypeError):
+        s(P((1,))) * True
+    with pytest.raises(TypeError):
+        True * s(P((1,)))
+    with pytest.raises(TypeError):
+        TensorElement({(P((1,)), P(())): 1}) * True
 
 
 def test_additive_group():
