@@ -32,13 +32,12 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import lr
-from .errors import BasisMismatchError
+from .errors import BasisMismatchError, InvalidArgumentError
 from .partition import Partition, subpartitions
 from .schur_ring import PairTable, SchurElement, TermTable, _merge
 from .series import (
     SchurSeries,
     littlewood_series,
-    series_product,
     series_term,
     skew_by_series,
     delta_double_prime,
@@ -60,7 +59,7 @@ class Basis(enum.Enum):
         for b in cls:
             if b.value.upper() == key:
                 return b
-        raise ValueError(f"unknown basis {text!r}; expected GL, O or Sp")
+        raise InvalidArgumentError(f"unknown basis {text!r}; expected GL, O or Sp")
 
 
 _BRACKETS = {

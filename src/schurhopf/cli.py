@@ -20,6 +20,7 @@ from .char_rings import Basis, CharElement
 from .errors import (
     BasisMismatchError,
     DegreeOverflowError,
+    InvalidArgumentError,
     PartitionError,
     SchurHopfError,
     WeightLimitError,
@@ -122,10 +123,14 @@ def _emit_element(x, fmt: str) -> None:
 
 
 def _emit_value(v, fmt: str) -> None:
+    try:
+        text = str(v)
+    except ValueError:  # more digits than int-to-str conversion allows
+        raise InvalidArgumentError("the value has too many digits to print") from None
     if fmt == "json":
-        print(json.dumps({"value": v if isinstance(v, int) else str(v)}))
+        print(json.dumps({"value": v if isinstance(v, int) else text}))
     else:
-        print(v)
+        print(text)
 
 
 def _run_schur(args, fmt: str) -> int:
@@ -261,7 +266,7 @@ def main(argv=None) -> int:
     except BasisMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BASIS
-    except (SchurHopfError, ValueError, TypeError) as exc:
+    except SchurHopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -21,6 +21,12 @@ class ValueParseError(SchurHopfError, ValueError):
     """Value text that is not an exact rational, such as "1/0" or "0.5x"."""
 
 
+class InvalidArgumentError(SchurHopfError, ValueError):
+    """A well-formed argument outside its domain: an unknown basis name,
+    eigenvalues that do not fit the group, a negative series cutoff, or
+    eigenvalues whose character value has too many digits to print."""
+
+
 class DegreeOverflowError(SchurHopfError):
     """A series term beyond the cutoff (or the global limit) was requested."""
 

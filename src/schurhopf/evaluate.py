@@ -12,7 +12,6 @@ import re
 from fractions import Fraction
 
 from ._oracle import (
-    homogeneous_part,
     horizontal_extensions,
     poly_mul,
     poly_one,
@@ -20,12 +19,14 @@ from ._oracle import (
 )
 from .char_rings import Basis, CharElement, convert
 from .errors import (
+    InvalidArgumentError,
     SingularDenominatorError,
     StableRangeError,
     UnsupportedGroupError,
     ValueParseError,
 )
 from .partition import Partition, partitions_up_to
+from .schur_ring import _merge
 
 
 class GaussianRational:
@@ -195,15 +196,20 @@ class EigenvalueSpec:
                 "SO(n), O-(n) or Sp(n)"
             )
         self.family = _CANONICAL[m.group(1).lower()]
-        self.size = int(m.group(2))
+        try:
+            self.size = int(m.group(2))
+        except ValueError:  # more digits than int() will convert
+            raise UnsupportedGroupError(
+                f"group size with {len(m.group(2))} digits is too large"
+            ) from None
         if self.size < 1:
             raise UnsupportedGroupError("group size must be positive")
         values = tuple(coerce_value(v) for v in free_values)
         if any(not v for v in values):
-            raise ValueError("eigenvalue parameters must be nonzero")
+            raise InvalidArgumentError("eigenvalue parameters must be nonzero")
         expected = self.free_count_for(self.family, self.size)
         if len(values) != expected:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"{self.group_name} takes {expected} free value(s), "
                 f"got {len(values)}"
             )
@@ -212,7 +218,7 @@ class EigenvalueSpec:
             for v in values:
                 prod = prod * v
             if prod != 1:
-                raise ValueError("SL(n) eigenvalues must have product 1")
+                raise InvalidArgumentError("SL(n) eigenvalues must have product 1")
         self.free_values = values
 
     @staticmethod
@@ -428,22 +434,14 @@ def verify_cauchy(nx: int, ny: int, max_degree: int) -> bool:
             for e, c in poly_mul(
                 _embed(sx, nx, ny, "x"), _embed(sy, nx, ny, "y"), bound
             ).items():
-                v = sum_inverse.get(e, 0) + c
-                if v:
-                    sum_inverse[e] = v
-                else:
-                    del sum_inverse[e]
+                _merge(sum_inverse, e, c)
         syc = schur_polynomial(tuple(lam.conjugate()), ny)
         if syc:
             sign = -1 if lam.weight % 2 else 1
             for e, c in poly_mul(
                 _embed(sx, nx, ny, "x"), _embed(syc, nx, ny, "y"), bound
             ).items():
-                v = sum_direct.get(e, 0) + sign * c
-                if v:
-                    sum_direct[e] = v
-                else:
-                    del sum_direct[e]
+                _merge(sum_direct, e, sign * c)
 
     trim = lambda poly: {e: c for e, c in poly.items() if sum(e) <= bound}
     return trim(inverse) == sum_inverse and trim(direct) == sum_direct

@@ -167,7 +167,12 @@ def skew_expansion(outer, inner) -> dict[Partition, int]:
 
 
 def lr_coefficient(lam, mu, nu) -> int:
-    """The Littlewood-Richardson coefficient c^nu_{lam, mu}."""
+    """The Littlewood-Richardson coefficient c^nu_{lam, mu}.
+
+    The kernel counts only the tableaux of shape nu/lam with content mu,
+    instead of expanding all of s_lam * s_mu: for two staircases of weight
+    15 the full product costs the pure kernel 50 to 130 times as much.
+    """
     lam = Partition(lam)
     mu = Partition(mu)
     nu = Partition(nu)

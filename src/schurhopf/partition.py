@@ -153,7 +153,8 @@ def parse_partition(text: str) -> Partition:
     Two forms: a comma list ("4,2,1") and the compact exponent form used in
     classical notation ("2^2 1^2", "21", "1^4").  In the compact form each
     part is a single digit, optionally followed by ^multiplicity; multi-digit
-    parts need the comma form.  "0" and "" denote the zero partition.
+    parts need the comma form.  "0" and "" denote the zero partition.  Parts
+    and exponents are ASCII digits.
     """
     t = text.strip()
     if t in ("", "0"):
@@ -165,18 +166,34 @@ def parse_partition(text: str) -> Partition:
         parts = []
         for tok in tokens:
             tok = tok.strip()
-            if not tok.isdigit():
+            if not _is_ascii_number(tok):
                 raise PartitionError(f"bad part {tok!r} in {text!r}")
-            parts.append(int(tok))
+            parts.append(_read_part(tok))
         if parts and parts[-1] == 0:
             raise PartitionError(f"zero part in {text!r}")
         return Partition(parts)
     try:
         return _parse_compact(t, text)
     except PartitionError:
-        if t.isdigit():
-            return Partition((int(t),))
+        if _is_ascii_number(t):
+            return Partition((_read_part(t),))
         raise
+
+
+def _is_ascii_number(tok: str) -> bool:
+    # str.isdigit() alone also accepts "²", which int() rejects
+    return tok.isascii() and tok.isdigit()
+
+
+def _read_part(tok: str) -> int:
+    digits = tok.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() will convert
+        raise WeightLimitError(
+            f"partition weight with {len(digits)} digits exceeds the limit "
+            f"{_weight_limit}"
+        ) from None
 
 
 def _parse_compact(t: str, text: str) -> Partition:
@@ -191,7 +208,7 @@ def _parse_compact(t: str, text: str) -> Partition:
         if ch == " ":
             i += 1
             continue
-        if not ch.isdigit() or ch == "0":
+        if not "1" <= ch <= "9":
             raise PartitionError(f"unexpected {ch!r} in partition {text!r}")
         part = int(ch)
         i += 1
@@ -199,7 +216,7 @@ def _parse_compact(t: str, text: str) -> Partition:
         if i < n and t[i] == "^":
             i += 1
             j = i
-            while j < n and t[j].isdigit():
+            while j < n and "0" <= t[j] <= "9":
                 j += 1
             if j == i:
                 raise PartitionError(f"missing exponent after ^ in {text!r}")

@@ -20,7 +20,7 @@ import threading
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .errors import DegreeOverflowError, NotInvertibleError
+from .errors import DegreeOverflowError, InvalidArgumentError, NotInvertibleError
 from .partition import (
     Partition,
     distinct_partitions_of,
@@ -44,7 +44,7 @@ class SchurSeries:
         name: str | None = None,
     ):
         if cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
+            raise InvalidArgumentError("cutoff must be nonnegative")
         self._fn = term_fn
         self.cutoff = cutoff
         self.name = name

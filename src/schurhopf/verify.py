@@ -32,7 +32,7 @@ from .partition import (
     partitions_up_to,
     subpartitions,
 )
-from .schur_ring import SchurElement
+from .schur_ring import SchurElement, _merge
 from .series import (
     delta_double_prime,
     littlewood_series,
@@ -58,10 +58,6 @@ class CheckResult:
 
 def _cap(default: int, max_degree: int | None) -> int:
     return default if max_degree is None else min(default, max_degree)
-
-
-def _result(name: str, witness: str | None) -> CheckResult:
-    return CheckResult(name, witness is None, witness or "")
 
 
 def _basis_elements(bound: int):
@@ -104,7 +100,7 @@ def _render_plain(x: CharElement) -> str:
 
 
 def check_branching_goldens() -> CheckResult:
-    witness = None
+    name = "branching goldens ({4},{1^4},{2^2 1^2} to O and Sp)"
     for text, basis, expected in _BRANCHING_GOLDENS:
         lam = parse_partition(text)
         if basis == "O":
@@ -112,69 +108,61 @@ def check_branching_goldens() -> CheckResult:
         else:
             got = char_rings.branch_gl_to_sp(lam)
         if _render_plain(got) != expected:
-            witness = f"branch {text} -> {basis}: got {_render_plain(got)}"
-            break
-    return _result("branching goldens ({4},{1^4},{2^2 1^2} to O and Sp)", witness)
+            return CheckResult(
+                name, False, f"branch {text} -> {basis}: got {_render_plain(got)}"
+            )
+    return CheckResult(name, True)
 
 
 def check_tensor_goldens() -> CheckResult:
+    name = "tensor goldens {2^2}*{21} in GL, O, Sp"
     lam = Partition((2, 2))
     mu = Partition((2, 1))
-    witness = None
     for basis, expected in _TENSOR_GOLDENS:
         got = tensor_product(lam, mu, Basis.parse(basis))
         if _render_plain(got) != expected:
-            witness = f"{basis}: got {_render_plain(got)}"
-            break
-    return _result("tensor goldens {2^2}*{21} in GL, O, Sp", witness)
+            return CheckResult(name, False, f"{basis}: got {_render_plain(got)}")
+    return CheckResult(name, True)
 
 
 def check_osp_coincidence(bound: int = 5) -> CheckResult:
-    witness = None
+    name = f"O/Sp tensor coefficient coincidence (weights <= {bound})"
     for lam in _basis_elements(bound):
         for mu in _basis_elements(bound):
             o = tensor_product(lam, mu, Basis.O)
             sp = tensor_product(lam, mu, Basis.SP)
             if dict(o.items()) != dict(sp.items()):
-                witness = f"lambda={lam}, mu={mu}"
-                break
-        if witness:
-            break
-    return _result(f"O/Sp tensor coefficient coincidence (weights <= {bound})", witness)
+                return CheckResult(name, False, f"lambda={lam}, mu={mu}")
+    return CheckResult(name, True)
 
 
 def check_conversion_round_trips(bound: int = 6) -> CheckResult:
+    name = f"conversion round-trips, all basis pairs (weight <= {bound})"
     pairs = [(a, b) for a in Basis for b in Basis if a is not b]
-    witness = None
     for p in _basis_elements(bound):
         for a, b in pairs:
             x = CharElement.basis_element(a, p)
             back = convert(convert(x, b), a)
             if back != x:
-                witness = f"{x} via {b.value}: got {back}"
-                break
-        if witness:
-            break
-    return _result(f"conversion round-trips, all basis pairs (weight <= {bound})", witness)
+                return CheckResult(name, False, f"{x} via {b.value}: got {back}")
+    return CheckResult(name, True)
 
 
 def check_branch_convert_consistency(bound: int = 6) -> CheckResult:
-    witness = None
+    name = f"branch agrees with convert (weight <= {bound})"
     for p in _basis_elements(bound):
         gl = CharElement.basis_element(Basis.GL, p)
         if char_rings.branch_gl_to_o(p) != convert(gl, Basis.O):
-            witness = f"O branch of {p}"
-            break
+            return CheckResult(name, False, f"O branch of {p}")
         if char_rings.branch_gl_to_sp(p) != convert(gl, Basis.SP):
-            witness = f"Sp branch of {p}"
-            break
-    return _result(f"branch agrees with convert (weight <= {bound})", witness)
+            return CheckResult(name, False, f"Sp branch of {p}")
+    return CheckResult(name, True)
 
 
 def check_sigma_bound(bound: int = 5) -> CheckResult:
     """The tensor-product sum truncates sigma at the smaller weight; check
     directly that every heavier sigma kills one of the two skews."""
-    witness = None
+    name = f"sigma sums bounded by min weight (weights <= {bound})"
     for lam in _basis_elements(bound):
         for mu in _basis_elements(bound):
             small = min(lam.weight, mu.weight)
@@ -184,51 +172,38 @@ def check_sigma_bound(bound: int = 5) -> CheckResult:
                     left = SchurElement.basis(lam).skew(sigma)
                     right = SchurElement.basis(mu).skew(sigma)
                     if not (left.is_zero or right.is_zero):
-                        witness = f"sigma={sigma} survives lambda={lam}, mu={mu}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return _result(f"sigma sums bounded by min weight (weights <= {bound})", witness)
+                        return CheckResult(
+                            name, False, f"sigma={sigma} survives lambda={lam}, mu={mu}"
+                        )
+    return CheckResult(name, True)
 
 
 def check_tensor_commutativity(bound: int = 5) -> CheckResult:
-    witness = None
+    name = f"tensor products commute in every basis (weights <= {bound})"
     for basis in Basis:
         for lam in _basis_elements(bound):
             for mu in _basis_elements(bound):
                 if tensor_product(lam, mu, basis) != tensor_product(mu, lam, basis):
-                    witness = f"{basis.value}: lambda={lam}, mu={mu}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return _result(f"tensor products commute in every basis (weights <= {bound})", witness)
+                    return CheckResult(
+                        name, False, f"{basis.value}: lambda={lam}, mu={mu}"
+                    )
+    return CheckResult(name, True)
 
 
 def check_generic_engine(bound: int = 4) -> CheckResult:
+    name = f"generic series engine matches direct rules (weights <= {bound})"
     d = littlewood_series("D", 2 * bound)
     b = littlewood_series("B", 2 * bound)
     u = unit_series(2 * bound)
-    witness = None
     for lam in _basis_elements(bound):
         for mu in _basis_elements(bound):
             if tensor_product_generic(lam, mu, d) != tensor_product(lam, mu, Basis.O):
-                witness = f"T=D: lambda={lam}, mu={mu}"
-                break
+                return CheckResult(name, False, f"T=D: lambda={lam}, mu={mu}")
             if tensor_product_generic(lam, mu, b) != tensor_product(lam, mu, Basis.SP):
-                witness = f"T=B: lambda={lam}, mu={mu}"
-                break
+                return CheckResult(name, False, f"T=B: lambda={lam}, mu={mu}")
             if tensor_product_generic(lam, mu, u) != tensor_product(lam, mu, Basis.GL):
-                witness = f"T=unit: lambda={lam}, mu={mu}"
-                break
-        if witness:
-            break
-    return _result(f"generic series engine matches direct rules (weights <= {bound})", witness)
+                return CheckResult(name, False, f"T=unit: lambda={lam}, mu={mu}")
+    return CheckResult(name, True)
 
 
 def suite_tables(max_degree: int | None = None) -> list[CheckResult]:
@@ -247,96 +222,84 @@ def suite_tables(max_degree: int | None = None) -> list[CheckResult]:
 # -- series -----------------------------------------------------------------
 
 def check_bd_supports(bound: int = 8) -> CheckResult:
+    name = f"B and D have unit coefficients on the stated supports (degree <= {bound})"
     dser = littlewood_series("D", bound)
     bser = littlewood_series("B", bound)
-    witness = None
     for deg in range(bound + 1):
         dterm = dser.term(deg)
         bterm = bser.term(deg)
         if deg % 2:
             if not dterm.is_zero or not bterm.is_zero:
-                witness = f"odd degree {deg} not zero"
-                break
+                return CheckResult(name, False, f"odd degree {deg} not zero")
             continue
         expect_d = {p for p in partitions_of(deg) if all(x % 2 == 0 for x in p)}
         if dict(dterm.items()) != {p: 1 for p in expect_d}:
-            witness = f"D degree {deg}"
-            break
+            return CheckResult(name, False, f"D degree {deg}")
         if dict(bterm.items()) != {p.conjugate(): 1 for p in expect_d}:
-            witness = f"B degree {deg}"
-            break
-    return _result(f"B and D have unit coefficients on the stated supports (degree <= {bound})", witness)
+            return CheckResult(name, False, f"B degree {deg}")
+    return CheckResult(name, True)
 
 
 def check_ca_oracle(bound: int = 8) -> CheckResult:
-    witness = None
-    for name in ("A", "C"):
-        ser = littlewood_series(name, bound)
+    name = f"A and C match the defining-product oracle (degree <= {bound})"
+    for series in ("A", "C"):
+        ser = littlewood_series(series, bound)
         for deg in range(bound + 1):
             got = dict(ser.term(deg).items())
             if deg % 2 and got:
-                witness = f"{name} odd degree {deg} not zero"
-                break
+                return CheckResult(name, False, f"{series} odd degree {deg} not zero")
             sign = -1 if (deg // 2) % 2 else 1
             if deg % 2 == 0 and any(c != sign for c in got.values()):
-                witness = f"{name} degree {deg}: coefficient not {sign}"
-                break
-            if got != series_term_by_expansion(name, deg):
-                witness = f"{name} degree {deg} disagrees with product expansion"
-                break
-        if witness:
-            break
-    return _result(f"A and C match the defining-product oracle (degree <= {bound})", witness)
+                return CheckResult(
+                    name, False, f"{series} degree {deg}: coefficient not {sign}"
+                )
+            if got != series_term_by_expansion(series, deg):
+                return CheckResult(
+                    name, False,
+                    f"{series} degree {deg} disagrees with product expansion",
+                )
+    return CheckResult(name, True)
 
 
 def check_conjugation_duality(bound: int = 8) -> CheckResult:
-    witness = None
+    name = f"conjugation maps C to A and D to B (degree <= {bound})"
     for src, dst in (("C", "A"), ("D", "B")):
         s = littlewood_series(src, bound)
         t = littlewood_series(dst, bound)
         for deg in range(bound + 1):
             flipped = {p.conjugate(): c for p, c in s.term(deg).items()}
             if flipped != dict(t.term(deg).items()):
-                witness = f"{src} vs {dst} at degree {deg}"
-                break
-        if witness:
-            break
-    return _result(f"conjugation maps C to A and D to B (degree <= {bound})", witness)
+                return CheckResult(name, False, f"{src} vs {dst} at degree {deg}")
+    return CheckResult(name, True)
 
 
 def check_series_inverses(bound: int = 8) -> CheckResult:
+    name = f"A*B = C*D = unit and inverse(C) = D (degree <= {bound})"
     a = littlewood_series("A", bound)
     b = littlewood_series("B", bound)
     c = littlewood_series("C", bound)
     d = littlewood_series("D", bound)
-    witness = None
     for s, t, label in ((a, b, "A*B"), (c, d, "C*D")):
         prod = series_product(s, t, bound)
         for deg in range(bound + 1):
             expect = SchurElement.one() if deg == 0 else SchurElement.zero()
             if prod.term(deg) != expect:
-                witness = f"{label} degree {deg}"
-                break
-        if witness:
-            break
-    if witness is None:
-        inv = series_inverse(c, bound)
-        for deg in range(bound + 1):
-            if inv.term(deg) != d.term(deg):
-                witness = f"inverse(C) vs D at degree {deg}"
-                break
-    return _result(f"A*B = C*D = unit and inverse(C) = D (degree <= {bound})", witness)
+                return CheckResult(name, False, f"{label} degree {deg}")
+    inv = series_inverse(c, bound)
+    for deg in range(bound + 1):
+        if inv.term(deg) != d.term(deg):
+            return CheckResult(name, False, f"inverse(C) vs D at degree {deg}")
+    return CheckResult(name, True)
 
 
 def check_delta_double_prime(bound: int = 6) -> CheckResult:
-    witness = None
-    for name in ("D", "B"):
-        t = littlewood_series(name, bound)
+    name = f"split coproduct of D and B is diagonal (degree <= {bound})"
+    for series in ("D", "B"):
+        t = littlewood_series(series, bound)
         defects = delta_double_prime(t, bound).diagonal_defects(bound)
         if defects:
-            witness = f"{name}: first defect {defects[0]}"
-            break
-    return _result(f"split coproduct of D and B is diagonal (degree <= {bound})", witness)
+            return CheckResult(name, False, f"{series}: first defect {defects[0]}")
+    return CheckResult(name, True)
 
 
 def suite_series(max_degree: int | None = None) -> list[CheckResult]:
@@ -352,7 +315,7 @@ def suite_series(max_degree: int | None = None) -> list[CheckResult]:
 # -- Hopf axioms in Symm ------------------------------------------------------
 
 def check_symm_duality(bound: int = 7) -> CheckResult:
-    witness = None
+    name = f"product/skew/coproduct duality (weight <= {bound})"
     for nu in _basis_elements(bound):
         cop = SchurElement.basis(nu).coproduct()
         table = dict(cop.items())
@@ -363,20 +326,16 @@ def check_symm_duality(bound: int = 7) -> CheckResult:
                 seen[(lam, mu)] = c
                 prod = SchurElement.basis(lam) * SchurElement.basis(mu)
                 if prod.coefficient(nu) != c:
-                    witness = f"scalar vs skew at nu={nu}, lambda={lam}, mu={mu}"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+                    return CheckResult(
+                        name, False, f"scalar vs skew at nu={nu}, lambda={lam}, mu={mu}"
+                    )
         if {k: v for k, v in table.items() if v} != seen:
-            witness = f"coproduct table of nu={nu}"
-            break
-    return _result(f"product/skew/coproduct duality (weight <= {bound})", witness)
+            return CheckResult(name, False, f"coproduct table of nu={nu}")
+    return CheckResult(name, True)
 
 
 def check_schur_identity(bound: int = 8) -> CheckResult:
-    witness = None
+    name = f"alternating skew identity collapses (weight <= {bound})"
     for nu in _basis_elements(bound):
         total = SchurElement.zero()
         base = SchurElement.basis(nu)
@@ -385,13 +344,12 @@ def check_schur_identity(bound: int = 8) -> CheckResult:
             total = total + term * (-1 if mu.weight % 2 else 1)
         expect = SchurElement.one() if nu.weight == 0 else SchurElement.zero()
         if total != expect:
-            witness = f"nu={nu}: got {total}"
-            break
-    return _result(f"alternating skew identity collapses (weight <= {bound})", witness)
+            return CheckResult(name, False, f"nu={nu}: got {total}")
+    return CheckResult(name, True)
 
 
 def check_symm_antipode(bound: int = 7) -> CheckResult:
-    witness = None
+    name = f"antipode identity, both sides (weight <= {bound})"
     for p in _basis_elements(bound):
         x = SchurElement.basis(p)
         expect = SchurElement.one() if p.weight == 0 else SchurElement.zero()
@@ -401,13 +359,12 @@ def check_symm_antipode(bound: int = 7) -> CheckResult:
             left = left + SchurElement.basis(a).antipode() * SchurElement.basis(b) * c
             right = right + SchurElement.basis(a) * SchurElement.basis(b).antipode() * c
         if left != expect or right != expect:
-            witness = f"basis element {p}"
-            break
-    return _result(f"antipode identity, both sides (weight <= {bound})", witness)
+            return CheckResult(name, False, f"basis element {p}")
+    return CheckResult(name, True)
 
 
 def check_symm_counitarity(bound: int = 8) -> CheckResult:
-    witness = None
+    name = f"counit is a two-sided counit (weight <= {bound})"
     for p in _basis_elements(bound):
         x = SchurElement.basis(p)
         left = SchurElement.zero()
@@ -416,9 +373,8 @@ def check_symm_counitarity(bound: int = 8) -> CheckResult:
             left = left + SchurElement.basis(b) * (c * SchurElement.basis(a).counit())
             right = right + SchurElement.basis(a) * (c * SchurElement.basis(b).counit())
         if left != x or right != x:
-            witness = f"basis element {p}"
-            break
-    return _result(f"counit is a two-sided counit (weight <= {bound})", witness)
+            return CheckResult(name, False, f"basis element {p}")
+    return CheckResult(name, True)
 
 
 def _triple_table(x: SchurElement, first: bool) -> dict:
@@ -427,31 +383,24 @@ def _triple_table(x: SchurElement, first: bool) -> dict:
     for (a, b), c in x.coproduct().items():
         inner = SchurElement.basis(a if first else b).coproduct()
         for (u, v), d in inner.items():
-            key = (u, v, b) if first else (a, u, v)
-            val = out.get(key, 0) + c * d
-            if val:
-                out[key] = val
-            else:
-                del out[key]
+            _merge(out, (u, v, b) if first else (a, u, v), c * d)
     return out
 
 
 def check_coassociativity(bound: int = 6) -> CheckResult:
-    witness = None
+    name = f"coproduct is coassociative and cocommutative (weight <= {bound})"
     for p in _basis_elements(bound):
         x = SchurElement.basis(p)
         if _triple_table(x, True) != _triple_table(x, False):
-            witness = f"basis element {p}"
-            break
+            return CheckResult(name, False, f"basis element {p}")
         cop = x.coproduct()
         if cop != cop.swap():
-            witness = f"cocommutativity fails at {p}"
-            break
-    return _result(f"coproduct is coassociative and cocommutative (weight <= {bound})", witness)
+            return CheckResult(name, False, f"cocommutativity fails at {p}")
+    return CheckResult(name, True)
 
 
 def check_compatibility(bound: int = 6) -> CheckResult:
-    witness = None
+    name = f"coproduct is an algebra map (total weight <= {bound})"
     for total in range(bound + 1):
         for wa in range(total + 1):
             for lam in partitions_of(wa):
@@ -461,19 +410,12 @@ def check_compatibility(bound: int = 6) -> CheckResult:
                     lhs = (x * y).coproduct()
                     rhs = x.coproduct() * y.coproduct()
                     if lhs != rhs:
-                        witness = f"lambda={lam}, mu={mu}"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return _result(f"coproduct is an algebra map (total weight <= {bound})", witness)
+                        return CheckResult(name, False, f"lambda={lam}, mu={mu}")
+    return CheckResult(name, True)
 
 
 def check_skew_of_skew(bound: int = 7) -> CheckResult:
-    witness = None
+    name = f"iterated skew matches skew by the product (weight <= {bound})"
     shapes = [partitions_of(w) for w in range(bound + 1)]
     for wl in range(bound + 1):
         for lam in shapes[wl]:
@@ -485,23 +427,14 @@ def check_skew_of_skew(bound: int = 7) -> CheckResult:
                             lhs = x.skew(mu).skew(nu)
                             rhs = x.skew(SchurElement.basis(mu) * SchurElement.basis(nu))
                             if lhs != rhs:
-                                witness = f"lambda={lam}, mu={mu}, nu={nu}"
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return _result(f"iterated skew matches skew by the product (weight <= {bound})", witness)
+                                return CheckResult(
+                                    name, False, f"lambda={lam}, mu={mu}, nu={nu}"
+                                )
+    return CheckResult(name, True)
 
 
 def check_skew_of_product(bound: int = 6) -> CheckResult:
-    witness = None
+    name = f"skew of a product expands by paired skews (total weight <= {bound})"
     shapes = [partitions_of(w) for w in range(bound + 1)]
     up_to = [partitions_up_to(w) for w in range(bound + 1)]
     for total in range(bound + 1):
@@ -521,25 +454,16 @@ def check_skew_of_product(bound: int = 6) -> CheckResult:
                                     if c:
                                         rhs = rhs + (x.skew(sigma) * y.skew(tau)) * c
                             if lhs != rhs:
-                                witness = f"mu={mu}, nu={nu}, rho={rho}"
-                                break
-                        if witness:
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    return _result(f"skew of a product expands by paired skews (total weight <= {bound})", witness)
+                                return CheckResult(
+                                    name, False, f"mu={mu}, nu={nu}, rho={rho}"
+                                )
+    return CheckResult(name, True)
 
 
 # -- Hopf axioms in the O/Sp character rings ---------------------------------
 
 def check_char_counitarity(bound: int = 5) -> CheckResult:
-    witness = None
+    name = f"character counit is two-sided (weight <= {bound})"
     for basis in (Basis.O, Basis.SP):
         for p in _basis_elements(bound):
             x = CharElement.basis_element(basis, p)
@@ -551,15 +475,12 @@ def check_char_counitarity(bound: int = 5) -> CheckResult:
                 left = left + CharElement.basis_element(basis, b) * (c * ea)
                 right = right + CharElement.basis_element(basis, a) * (c * eb)
             if left != x or right != x:
-                witness = f"{x}"
-                break
-        if witness:
-            break
-    return _result(f"character counit is two-sided (weight <= {bound})", witness)
+                return CheckResult(name, False, f"{x}")
+    return CheckResult(name, True)
 
 
 def check_char_antipode(bound: int = 5) -> CheckResult:
-    witness = None
+    name = f"character antipode identity, both sides (weight <= {bound})"
     for basis in (Basis.O, Basis.SP):
         unit = CharElement.basis_element(basis, Partition(()))
         for p in _basis_elements(bound):
@@ -573,11 +494,10 @@ def check_char_antipode(bound: int = 5) -> CheckResult:
                 left = left + char_multiply(sa, CharElement.basis_element(basis, b)) * c
                 right = right + char_multiply(CharElement.basis_element(basis, a), sb) * c
             if left != expect or right != expect:
-                witness = f"{x}: folded to {left} and {right}, expected {expect}"
-                break
-        if witness:
-            break
-    return _result(f"character antipode identity, both sides (weight <= {bound})", witness)
+                return CheckResult(
+                    name, False, f"{x}: folded to {left} and {right}, expected {expect}"
+                )
+    return CheckResult(name, True)
 
 
 def suite_hopf(max_degree: int | None = None) -> list[CheckResult]:

@@ -201,6 +201,46 @@ def test_eval_error_exit_codes(capsys):
     assert err.startswith("error:") and "denominator" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("char", "tensor", "--basis", "Q", "1", "1"), "unknown basis 'Q'; expected GL, O or Sp"),
+    (("eval", "--group", "GL(2)", "--values", "0,1", "1"),
+     "eigenvalue parameters must be nonzero"),
+    (("eval", "--group", "GL(2)", "--values", "1", "1"), "GL(2) takes 2 free value(s), got 1"),
+    (("eval", "--group", "SL(2)", "--values", "2,3", "1"),
+     "SL(n) eigenvalues must have product 1"),
+    (("series", "D", "--max-degree", "-1"), "cutoff must be nonnegative"),
+    (("verify", "all", "--max-degree", "-1"), "cutoff must be nonnegative"),
+    (("eval", "--group", "GL(%s)" % ("9" * 5000), "--values", "1", "1"),
+     "group size with 5000 digits is too large"),
+    (("schur", "counit", "²"), "unexpected '²' in partition '²'"),
+    (("schur", "mul", "²,", "1"), "bad part '²' in '²,'"),
+    (("char", "counit", "--basis", "O", "2^²"), "missing exponent after ^ in '2^²'"),
+    (("eval", "--group", "GL(1)", "--values", "1e5000", "1"),
+     "the value has too many digits to print"),
+    (("--format", "json", "eval", "--group", "GL(1)", "--values", "1e-5000", "1"),
+     "the value has too many digits to print"),
+])
+def test_bad_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (cli.EXIT_PARSE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "1," + "9" * 5000], ids=["single", "comma"])
+def test_overlong_part_exits_3(capsys, text):
+    code, out, err = run(capsys, "schur", "counit", text)
+    assert (code, out) == (cli.EXIT_DEGREE, "")
+    assert err == "error: partition weight with 5000 digits exceeds the limit 64\n"
+
+
+def test_internal_value_error_is_not_an_exit_code(monkeypatch):
+    def broken(lam, mu, basis):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.char_rings, "tensor_product", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["char", "tensor", "--basis", "O", "1", "1"])
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "schur", "frobnicate", "1", "2")
     assert code == 2

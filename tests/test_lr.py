@@ -73,6 +73,9 @@ def test_oracle_equivalence_exhaustive():
                 for mu in partitions_of(total - wa):
                     expect = _oracle.product_in_schur_basis(lam, mu)
                     assert lr.product_expansion(lam, mu) == expect, (lam, mu)
+                    for nu in partitions_of(total):
+                        got = lr.lr_coefficient(lam, mu, nu)
+                        assert got == expect.get(nu, 0), (lam, mu, nu)
 
 
 def test_skew_against_coproduct_duality():
@@ -189,10 +192,21 @@ def test_cache_utilities():
     lr.clear_caches()
     lr.product_expansion(P((2, 1)), P((1,)))
     info = lr.cache_info()
+    assert set(info) == {"product", "skew", "coefficient"}
     assert any(v.misses > 0 for v in info.values())
     lr.clear_caches()
     info = lr.cache_info()
     assert all(v.hits == 0 and v.misses == 0 for v in info.values())
+
+
+def test_lone_coefficient_does_not_expand_the_product():
+    # the full product of two weight-15 staircases costs the pure kernel
+    # 50-130 times as much as counting the tableaux of one shape nu/lam
+    lr.clear_caches()
+    stair = P((5, 4, 3, 2, 1))
+    assert lr.lr_coefficient(stair, stair, P((6, 6, 5, 5, 4, 2, 2))) == 36
+    assert lr.cache_info()["product"].misses == 0
+    assert lr.cache_info()["coefficient"].misses == 1
 
 
 def test_kernel_name_reports_backend():

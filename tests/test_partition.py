@@ -84,9 +84,21 @@ def test_parse_exponent_form():
 
 
 def test_parse_rejects_garbage():
-    for text in ("1,2", "2,,1", "a", "2^", "^2", "-1", "1^0"):
+    # "²" passes str.isdigit() but int() rejects it; "٣" and "１" are
+    # decimal digits int() would read, but the grammar is ASCII
+    for text in ("1,2", "2,,1", "a", "2^", "^2", "-1", "1^0",
+                 "²", "1²", "2^²", "²,1", "1,²,", "٣", "2^٣", "٣,1", "１"):
         with pytest.raises(PartitionError):
             parse_partition(text)
+
+
+def test_parse_overlong_number_is_over_the_weight_limit():
+    big = "9" * 5000  # more digits than int() converts by default
+    for text in (big, big + ",", "1," + big):
+        with pytest.raises(WeightLimitError, match="with 5000 digits"):
+            parse_partition(text)
+    assert parse_partition("0" * 5000 + "1") == Partition((1,))
+    assert parse_partition("0" * 5000 + "12,") == Partition((12,))
 
 
 def test_format_compact():
