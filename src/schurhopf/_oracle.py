@@ -14,6 +14,7 @@ point, since these routines referee it.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .partition import Partition
 
@@ -49,11 +50,13 @@ def horizontal_extensions(mu, cap):
 
 def poly_mul(a: dict, b: dict, max_deg: int | None = None) -> dict:
     out: dict = {}
+    right = [(eb, cb, sum(eb)) for eb, cb in b.items()]
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if max_deg is not None and sum(e) > max_deg:
+        room = None if max_deg is None else max_deg - sum(ea)
+        for eb, cb, db in right:
+            if room is not None and db > room:
                 continue
+            e = tuple(map(add, ea, eb))
             c = out.get(e, 0) + ca * cb
             if c:
                 out[e] = c
@@ -98,10 +101,7 @@ def schur_polynomial(lam: tuple, nvars: int) -> dict:
         for mu, poly in table.items():
             for nu, added in horizontal_extensions(mu, lam):
                 bump = {
-                    tuple(
-                        e + (added if idx == k else 0)
-                        for idx, e in enumerate(exp)
-                    ): c
+                    exp[:k] + (exp[k] + added,) + exp[k + 1:]: c
                     for exp, c in poly.items()
                 }
                 cur = new_table.setdefault(nu, {})

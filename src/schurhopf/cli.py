@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import char_rings
@@ -36,6 +37,23 @@ EXIT_PARSE = 2
 EXIT_DEGREE = 3
 EXIT_BASIS = 4
 EXIT_VERIFY = 5
+
+
+class _Cutoff(argparse.Action):
+    """--max-degree: a nonnegative cutoff in ASCII digits.  Bad text raises
+    InvalidArgumentError, which argparse would turn into a usage error if a
+    type= function raised it, so the check lives in an action."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        if not re.fullmatch(r"-?[0-9]+", text):
+            raise InvalidArgumentError(f"cutoff {text!r} is not an integer in ASCII digits")
+        if text.startswith("-"):
+            raise InvalidArgumentError("cutoff must be nonnegative")
+        try:
+            value = int(text)
+        except ValueError:  # more digits than int() will convert
+            raise InvalidArgumentError(f"cutoff with {len(text)} digits is too large") from None
+        setattr(namespace, self.dest, value)
 
 
 def _common() -> argparse.ArgumentParser:
@@ -70,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     series = sub.add_parser("series", parents=[common],
                             help="graded terms of a Littlewood series")
     series.add_argument("name", choices=("A", "B", "C", "D"))
-    series.add_argument("--max-degree", type=int, default=8)
+    series.add_argument("--max-degree", action=_Cutoff, default=8)
 
     char = sub.add_parser("char", parents=[common],
                           help="universal character ring operations")
@@ -109,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run a built-in verification suite")
     ver.add_argument("suite", choices=("hopf", "series", "cauchy", "tables",
                                        "all"))
-    ver.add_argument("--max-degree", type=int, default=None,
+    ver.add_argument("--max-degree", action=_Cutoff, default=None,
                      help="cap the per-property weight bounds")
 
     return parser
@@ -247,10 +265,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
-    fmt = getattr(args, "format", None) or args.root_format or "text"
-    try:
+        fmt = getattr(args, "format", None) or args.root_format or "text"
         if args.command == "schur":
             return _run_schur(args, fmt)
         if args.command == "series":
@@ -260,6 +275,8 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return _run_eval(args, fmt)
         return _run_verify(args, fmt)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except (DegreeOverflowError, WeightLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGREE

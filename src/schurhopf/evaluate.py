@@ -142,12 +142,32 @@ class GaussianRational:
         return f"{self.re}+{im}" if self.im > 0 else f"{self.re}-{-self.im}i"
 
 
+# Fraction() reads any Unicode decimal digit and expands an exponent in full
+# ("1e50000000" is a 50-million-digit integer), so value text must be ASCII
+# and is refused past these caps before Fraction() sees it.
+_MAX_VALUE_DIGITS = 4000
+_MAX_VALUE_EXPONENT = 10_000
+_EXPONENT_RE = re.compile(r"[eE]([-+]?[0-9]+(?:_[0-9]+)*)")
+
+
 def _to_fraction(v) -> Fraction:
     if isinstance(v, (bool, float, complex)):
         raise TypeError(f"exact value required, got {type(v).__name__}")
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
     if isinstance(v, str):
+        if not v.isascii():
+            raise ValueParseError(f"cannot read {v!r} as an exact rational")
+        digits = sum(map(str.isdigit, v))
+        if digits > _MAX_VALUE_DIGITS:
+            raise ValueParseError(
+                f"value with {digits} digits exceeds the limit {_MAX_VALUE_DIGITS}"
+            )
+        exp = _EXPONENT_RE.search(v)
+        if exp and abs(int(exp.group(1))) > _MAX_VALUE_EXPONENT:
+            raise ValueParseError(
+                f"value exponent exceeds the limit {_MAX_VALUE_EXPONENT} in magnitude"
+            )
         try:
             return Fraction(v)
         except ZeroDivisionError:
@@ -164,7 +184,7 @@ def coerce_value(v):
     return _to_fraction(v)
 
 
-_GROUP_RE = re.compile(r"^\s*(GL|SL|SO|Sp|O-)\s*\(\s*(\d+)\s*\)\s*$", re.IGNORECASE)
+_GROUP_RE = re.compile(r"^\s*(GL|SL|SO|Sp|O-)\s*\(\s*([0-9]+)\s*\)\s*$", re.IGNORECASE)
 
 _CANONICAL = {"gl": "GL", "sl": "SL", "so": "SO", "sp": "Sp", "o-": "O-"}
 

@@ -50,6 +50,7 @@ class SchurSeries:
         self.name = name
         self._memo: dict[int, SchurElement] = {}
         self._lock = threading.Lock()
+        self._twisted: dict[int, TensorSeriesCoefficients] = {}
 
     def term(self, d: int) -> SchurElement:
         """The degree-d term; raises DegreeOverflowError past the cutoff."""
@@ -250,10 +251,22 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
     componentwise (slotwise) one.  For T = D or B the table is the identity
     delta_{sigma,tau}, which is what makes the generic tensor-product engine
     collapse to the orthogonal and symplectic rules.
+
+    The table is memoized per series and cutoff: repeated calls return the
+    same shared object, which callers must not mutate.
     """
     cut = t.cutoff if cutoff is None else cutoff
     if cut > t.cutoff:
         raise DegreeOverflowError("cutoff exceeds the series cutoff")
+    got = t._twisted.get(cut)
+    if got is None:
+        # Built outside t._lock (a plain Lock that t.term takes); a race
+        # only builds the same table twice.
+        got = t._twisted[cut] = _delta_double_prime(t, cut)
+    return got
+
+
+def _delta_double_prime(t: SchurSeries, cut: int) -> TensorSeriesCoefficients:
     inv = series_inverse(t, cut)
     # graded pieces of Delta(T) and of T^-1 (x) T^-1
     delta_piece = {g: t.term(g).coproduct() for g in range(cut + 1)}

@@ -9,6 +9,7 @@ uniformly (useful for quick smoke runs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import char_rings
 from ._oracle import series_term_by_expansion
@@ -422,10 +423,12 @@ def check_skew_of_skew(bound: int = 7) -> CheckResult:
             x = SchurElement.basis(lam)
             for wm in range(wl + 1):
                 for mu in shapes[wm]:
+                    x_mu = x.skew(mu)
+                    s_mu = SchurElement.basis(mu)
                     for wn in range(wl - wm + 1):
                         for nu in shapes[wn]:
-                            lhs = x.skew(mu).skew(nu)
-                            rhs = x.skew(SchurElement.basis(mu) * SchurElement.basis(nu))
+                            lhs = x_mu.skew(nu)
+                            rhs = x.skew(s_mu * SchurElement.basis(nu))
                             if lhs != rhs:
                                 return CheckResult(
                                     name, False, f"lambda={lam}, mu={mu}, nu={nu}"
@@ -437,22 +440,31 @@ def check_skew_of_product(bound: int = 6) -> CheckResult:
     name = f"skew of a product expands by paired skews (total weight <= {bound})"
     shapes = [partitions_of(w) for w in range(bound + 1)]
     up_to = [partitions_up_to(w) for w in range(bound + 1)]
+    # rho -> [(sigma, tau, c^rho_{sigma,tau})] over the nonzero coefficients
+    splits = {
+        rho: [
+            (sigma, tau, c)
+            for sigma in up_to[wr]
+            for tau in shapes[wr - sigma.weight]
+            if (c := lr_coefficient(sigma, tau, rho))
+        ]
+        for wr in range(bound + 1)
+        for rho in shapes[wr]
+    }
+    skew = cache(lambda p, q: SchurElement.basis(p).skew(q))
+
     for total in range(bound + 1):
         for wm in range(total + 1):
             for mu in shapes[wm]:
                 x = SchurElement.basis(mu)
                 for nu in shapes[total - wm]:
-                    y = SchurElement.basis(nu)
-                    prod = x * y
+                    prod = x * SchurElement.basis(nu)
                     for wr in range(total + 1):
                         for rho in shapes[wr]:
                             lhs = prod.skew(rho)
                             rhs = SchurElement.zero()
-                            for sigma in up_to[wr]:
-                                for tau in shapes[wr - sigma.weight]:
-                                    c = lr_coefficient(sigma, tau, rho)
-                                    if c:
-                                        rhs = rhs + (x.skew(sigma) * y.skew(tau)) * c
+                            for sigma, tau, c in splits[rho]:
+                                rhs = rhs + (skew(mu, sigma) * skew(nu, tau)) * c
                             if lhs != rhs:
                                 return CheckResult(
                                     name, False, f"mu={mu}, nu={nu}, rho={rho}"

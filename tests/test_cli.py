@@ -219,6 +219,15 @@ def test_eval_error_exit_codes(capsys):
      "the value has too many digits to print"),
     (("--format", "json", "eval", "--group", "GL(1)", "--values", "1e-5000", "1"),
      "the value has too many digits to print"),
+    (("verify", "hopf", "--max-degree", "-1"), "cutoff must be nonnegative"),
+    (("verify", "cauchy", "--max-degree", "-1"), "cutoff must be nonnegative"),
+    (("verify", "hopf", "--max-degree", "٣"), "cutoff '٣' is not an integer in ASCII digits"),
+    (("eval", "--group", "GL(٣)", "--values", "1,1,1", "1"),
+     "cannot parse group 'GL(٣)'; expected GL(n), SL(n), SO(n), O-(n) or Sp(n)"),
+    (("eval", "--group", "GL(3)", "--values", "٣,1,1", "1"),
+     "cannot read '٣' as an exact rational"),
+    (("eval", "--group", "GL(1)", "--values", "1e50000000", "1"),
+     "value exponent exceeds the limit 10000 in magnitude"),
 ])
 def test_bad_arguments_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -319,3 +328,74 @@ GOLDEN_STDOUT = [
 def test_result_table_stdout_goldens(capsys, argv, text, json_text):
     assert run(capsys, *argv) == (0, text, "")
     assert run(capsys, *argv, "--format", "json") == (0, json_text, "")
+
+
+# Complete stdout of `verify all`, captured before the four heaviest checks
+# stopped re-deriving their tables.
+VERIFY_ALL_TEXT = (
+    'PASS branching goldens ({4},{1^4},{2^2 1^2} to O and Sp)\n'
+    'PASS tensor goldens {2^2}*{21} in GL, O, Sp\n'
+    'PASS O/Sp tensor coefficient coincidence (weights <= 5)\n'
+    'PASS conversion round-trips, all basis pairs (weight <= 6)\n'
+    'PASS branch agrees with convert (weight <= 6)\n'
+    'PASS sigma sums bounded by min weight (weights <= 5)\n'
+    'PASS tensor products commute in every basis (weights <= 5)\n'
+    'PASS generic series engine matches direct rules (weights <= 4)\n'
+    'PASS B and D have unit coefficients on the stated supports (degree <= 8)\n'
+    'PASS A and C match the defining-product oracle (degree <= 8)\n'
+    'PASS conjugation maps C to A and D to B (degree <= 8)\n'
+    'PASS A*B = C*D = unit and inverse(C) = D (degree <= 8)\n'
+    'PASS split coproduct of D and B is diagonal (degree <= 6)\n'
+    'PASS product/skew/coproduct duality (weight <= 7)\n'
+    'PASS alternating skew identity collapses (weight <= 8)\n'
+    'PASS antipode identity, both sides (weight <= 7)\n'
+    'PASS counit is a two-sided counit (weight <= 8)\n'
+    'PASS coproduct is coassociative and cocommutative (weight <= 6)\n'
+    'PASS coproduct is an algebra map (total weight <= 6)\n'
+    'PASS iterated skew matches skew by the product (weight <= 7)\n'
+    'PASS skew of a product expands by paired skews (total weight <= 6)\n'
+    'PASS character counit is two-sided (weight <= 5)\n'
+    'PASS character antipode identity, both sides (weight <= 5)\n'
+    'PASS Cauchy kernels in 1+1 variables (degree <= 4)\n'
+    'PASS Cauchy kernels in 2+2 variables (degree <= 4)\n'
+    'PASS Cauchy kernels in 3+2 variables (degree <= 4)\n'
+    'PASS Cauchy kernels in 3+3 variables (degree <= 3)\n'
+    'PASS Cauchy kernels in 0+2 variables (degree <= 3)\n'
+    'ok: 28 checks passed\n'
+)
+VERIFY_ALL_JSON = (
+    '{"suite": "all", "max_degree": null, "passed": true, "checks": ['
+    '{"name": "branching goldens ({4},{1^4},{2^2 1^2} to O and Sp)", "passed": true, "detail": ""}, '
+    '{"name": "tensor goldens {2^2}*{21} in GL, O, Sp", "passed": true, "detail": ""}, '
+    '{"name": "O/Sp tensor coefficient coincidence (weights <= 5)", "passed": true, "detail": ""}, '
+    '{"name": "conversion round-trips, all basis pairs (weight <= 6)", "passed": true, "detail": ""}, '
+    '{"name": "branch agrees with convert (weight <= 6)", "passed": true, "detail": ""}, '
+    '{"name": "sigma sums bounded by min weight (weights <= 5)", "passed": true, "detail": ""}, '
+    '{"name": "tensor products commute in every basis (weights <= 5)", "passed": true, "detail": ""}, '
+    '{"name": "generic series engine matches direct rules (weights <= 4)", "passed": true, "detail": ""}, '
+    '{"name": "B and D have unit coefficients on the stated supports (degree <= 8)", "passed": true, "detail": ""}, '
+    '{"name": "A and C match the defining-product oracle (degree <= 8)", "passed": true, "detail": ""}, '
+    '{"name": "conjugation maps C to A and D to B (degree <= 8)", "passed": true, "detail": ""}, '
+    '{"name": "A*B = C*D = unit and inverse(C) = D (degree <= 8)", "passed": true, "detail": ""}, '
+    '{"name": "split coproduct of D and B is diagonal (degree <= 6)", "passed": true, "detail": ""}, '
+    '{"name": "product/skew/coproduct duality (weight <= 7)", "passed": true, "detail": ""}, '
+    '{"name": "alternating skew identity collapses (weight <= 8)", "passed": true, "detail": ""}, '
+    '{"name": "antipode identity, both sides (weight <= 7)", "passed": true, "detail": ""}, '
+    '{"name": "counit is a two-sided counit (weight <= 8)", "passed": true, "detail": ""}, '
+    '{"name": "coproduct is coassociative and cocommutative (weight <= 6)", "passed": true, "detail": ""}, '
+    '{"name": "coproduct is an algebra map (total weight <= 6)", "passed": true, "detail": ""}, '
+    '{"name": "iterated skew matches skew by the product (weight <= 7)", "passed": true, "detail": ""}, '
+    '{"name": "skew of a product expands by paired skews (total weight <= 6)", "passed": true, "detail": ""}, '
+    '{"name": "character counit is two-sided (weight <= 5)", "passed": true, "detail": ""}, '
+    '{"name": "character antipode identity, both sides (weight <= 5)", "passed": true, "detail": ""}, '
+    '{"name": "Cauchy kernels in 1+1 variables (degree <= 4)", "passed": true, "detail": ""}, '
+    '{"name": "Cauchy kernels in 2+2 variables (degree <= 4)", "passed": true, "detail": ""}, '
+    '{"name": "Cauchy kernels in 3+2 variables (degree <= 4)", "passed": true, "detail": ""}, '
+    '{"name": "Cauchy kernels in 3+3 variables (degree <= 3)", "passed": true, "detail": ""}, '
+    '{"name": "Cauchy kernels in 0+2 variables (degree <= 3)", "passed": true, "detail": ""}]}\n'
+)
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", VERIFY_ALL_TEXT), ("json", VERIFY_ALL_JSON)])
+def test_verify_all_stdout_golden(capsys, fmt, expected):
+    assert run(capsys, "verify", "all", "--format", fmt) == (0, expected, "")

@@ -8,6 +8,7 @@ from schurhopf.errors import (
     SingularDenominatorError,
     StableRangeError,
     UnsupportedGroupError,
+    ValueParseError,
 )
 from schurhopf.evaluate import (
     EigenvalueSpec,
@@ -77,6 +78,16 @@ def test_coerce_value():
         coerce_value(True)
     with pytest.raises(TypeError):
         coerce_value(1 + 2j)
+
+
+def test_coerce_value_text_is_ascii_and_bounded():
+    assert coerce_value("1e10000") == 10 ** 10000
+    assert coerce_value("-1_0e-1_0") == F(-1, 10 ** 9)
+    assert coerce_value(" 12/7 ") == F(12, 7)
+    assert coerce_value("9" * 4000) == 10 ** 4000 - 1
+    for text in ("1e10001", "1e-10001", "1e5000_0000", "1E50000000", "9" * 4001, "٣", "1/٣"):
+        with pytest.raises(ValueParseError):
+            coerce_value(text)
 
 
 class TestEigenvalueSpec:

@@ -14,6 +14,8 @@ from schurhopf.series import (
     unit_series,
 )
 from schurhopf import _oracle
+from schurhopf import series as series_module
+from schurhopf.char_rings import tensor_product_generic
 
 
 P = Partition
@@ -184,3 +186,41 @@ def test_delta_double_prime_of_unit_is_unit():
     coeffs = delta_double_prime(unit_series(4), 4)
     table = {k: v for k, v in coeffs.items() if v}
     assert table == {(P(()), P(())): 1}
+
+
+def test_delta_double_prime_is_memoized_per_cutoff():
+    t = littlewood_series("D", 6)
+    first = delta_double_prime(t, 4)
+    assert delta_double_prime(t, 4) is first
+    assert delta_double_prime(t) is delta_double_prime(t, 6)
+    assert delta_double_prime(t, 3) is not first
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "unit"])
+def test_memoized_delta_double_prime_matches_a_fresh_build(name):
+    def make(cutoff):
+        return unit_series(cutoff) if name == "unit" else littlewood_series(name, cutoff)
+
+    t = make(8)
+    for cut in range(9):
+        delta_double_prime(t, cut)
+    for cut in range(9):
+        got = delta_double_prime(t, cut)
+        assert got.cutoff == cut
+        assert got == delta_double_prime(make(cut), cut)
+
+
+def test_generic_tensor_product_builds_each_cutoff_once(monkeypatch):
+    builds = []
+
+    def counting(s, cutoff=None, name=None):
+        builds.append(cutoff)
+        return series_inverse(s, cutoff, name)
+
+    monkeypatch.setattr(series_module, "series_inverse", counting)
+    t = littlewood_series("D", 8)
+    shapes = [p for w in range(3) for p in partitions_of(w)]
+    for lam in shapes:
+        for mu in shapes:
+            tensor_product_generic(lam, mu, t)
+    assert sorted(builds) == [0, 1, 2, 3, 4]
