@@ -4,9 +4,7 @@ character rings of the classical groups.
 The Schur ring carries its full Hopf structure (product, skew, coproduct,
 counit, antipode); the GL/O/Sp character rings are built on top of the four
 Littlewood series, with branching rules, Newell-Littlewood tensor products
-and exact evaluation at eigenvalue lists.  A compiled kernel accelerates
-the Littlewood-Richardson enumeration when available; the pure-Python
-kernel computes identical results.
+and exact evaluation at eigenvalue lists.
 """
 
 from .char_rings import (

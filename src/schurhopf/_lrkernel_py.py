@@ -1,6 +1,5 @@
-"""Pure-Python Littlewood-Richardson kernel.
+"""The Littlewood-Richardson kernel, in pure Python.
 
-Fallback for the compiled extension, with the same API and the same tables.
 A product coefficient c^nu_{lam,mu} counts column-strict skew tableaux of
 shape nu/lam and content mu whose reverse reading word is a ballot word.
 Equivalently, tableaux are chains of horizontal strips: grow lam by mu[0]
@@ -21,8 +20,6 @@ that row's share of the strip is forced, and a chain that cannot fill it
 dies at that label instead of at the end.  The walks go row by row and the
 labels one after another, so nothing recurses, however tall the shapes.
 """
-
-IMPLEMENTATION = "python"
 
 
 def _contains(outer, inner):

@@ -10,7 +10,7 @@ the Partition constructor on anything that is not yet a Partition, and the
 element constructors and from_json readers built on it.  Past that point a
 Partition is trusted: Partition(p) returns p itself when p is already a
 Partition within the current weight limit, and code that derives new shapes
-from trusted ones (conjugation, enumeration, the LR kernels) wraps them with
+from trusted ones (conjugation, enumeration, the LR kernel) wraps them with
 _unchecked, which skips every check.  Its contract is that the caller
 guarantees a weakly decreasing tuple of positive ints whose weight is within
 the limit.
@@ -307,23 +307,23 @@ def partitions_up_to(d: int) -> list[Partition]:
 
 
 def subpartitions(p: Iterable[int]) -> Iterator[Partition]:
-    """All partitions whose diagram fits inside p (any weight, p included)."""
+    """All partitions whose diagram fits inside p (any weight, p included).
+
+    They come in reverse-lexicographic order of their zero-padded rows: p
+    first, the empty partition last.
+    """
     p = Partition(p)
-
-    def rec(i, prev):
-        if i == len(p):
-            yield ()
+    rows = list(p)
+    while True:
+        yield _unchecked(rows)
+        if not rows:
             return
-        top = min(p[i], prev)
-        for v in range(top, -1, -1):
-            if v == 0:
-                yield ()
-                return
-            for rest in rec(i + 1, v):
-                yield (v,) + rest
-
-    for raw in rec(0, p[0] if p else 0):
-        yield _unchecked(raw)
+        # the next shape down: lower the last row by one, then refill the
+        # rows below it as high as p and the lowered row allow
+        v = rows.pop() - 1
+        if v:
+            rows.append(v)
+            rows.extend(min(x, v) for x in p[len(rows):])
 
 
 def distinct_partitions_of(d: int) -> Iterator[tuple[int, ...]]:

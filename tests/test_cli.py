@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import schurhopf
 from schurhopf import cli
 from schurhopf.char_rings import CharElement
 from schurhopf.errors import BasisMismatchError
@@ -19,6 +23,20 @@ def test_schur_mul_text(capsys):
     assert code == 0
     assert out == "{43}+{421}+{3^2 1}+{32^2}+{321^2}+{2^3 1}\n"
     assert err == ""
+
+
+def test_removed_environment_knobs_are_ignored():
+    # stale settings of the removed cache-size and kernel knobs must not
+    # break the import or the CLI
+    env = dict(os.environ, SCHURHOPF_CACHE_SIZE="abc", SCHURHOPF_KERNEL="cython")
+    src = os.path.dirname(os.path.dirname(schurhopf.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import schurhopf; from schurhopf import cli, lr; print(lr.kernel_name()); "
+        "raise SystemExit(cli.main(['schur', 'mul', '1', '1']))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "python\n{2}+{1^2}\n", "")
 
 
 def test_schur_skew_text(capsys):

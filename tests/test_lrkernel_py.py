@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import lr_enumerator
 from schurhopf import _lrkernel_py, _oracle, cli, lr
-from schurhopf.partition import partitions_of, partitions_up_to
+from schurhopf.partition import get_weight_limit, partitions_of, partitions_up_to, set_weight_limit
 from schurhopf.schur_ring import SchurElement
 
 
@@ -57,21 +57,37 @@ def _stack_depth():
 
 def test_recursion_depth_is_bounded_by_the_row_count():
     # 30 to 64 labels on 40 to 64 rows: the reference enumerator needs a
-    # frame per label and per row here
+    # frame per label and per row here.  The one-row and one-column skews of
+    # 300 to 1500 rows go through lr, whose every skew reaches the kernel.
     col = (1,) * 32
     tall = (2,) * 20 + (1,) * 20
     rows = 64
     old_limit = sys.getrecursionlimit()
+    old_weight_limit = get_weight_limit()
     sys.setrecursionlimit(_stack_depth() + 3 * rows)
+    set_weight_limit(5000)
     try:
         product = _lrkernel_py.expand_product(col, col)
         skew = _lrkernel_py.expand_skew(tall, (2, 1))
         coefficient = _lrkernel_py.product_coefficient(col[:30], col[:30], (2,) * 15 + (1,) * 30)
+        pieri = [
+            lr.skew_expansion((1,) * 1500, (1,)),
+            lr.skew_expansion((1,) * 1500, (1,) * 3),
+            lr.skew_expansion((3,) * 600, (1,) * 3),
+            lr.skew_expansion((5,) * 300, (4,)),
+        ]
     finally:
         sys.setrecursionlimit(old_limit)
+        set_weight_limit(old_weight_limit)
     assert product == {(2,) * k + (1,) * (64 - 2 * k): 1 for k in range(33)}
     assert skew == {(2,) * 19 + (1,) * 19: 1, (2,) * 18 + (1,) * 21: 1}
     assert coefficient == 1
+    assert pieri == [
+        {(1,) * 1499: 1},
+        {(1,) * 1497: 1},
+        {(3,) * 597 + (2,) * 3: 1},
+        {(5,) * 299 + (1,): 1},
+    ]
 
 
 def _cli_table(capsys, *argv):

@@ -7,6 +7,7 @@ from schurhopf.errors import PartitionError, WeightLimitError
 from schurhopf.partition import (
     Partition,
     format_partition,
+    get_weight_limit,
     parse_partition,
     partitions_of,
     partitions_up_to,
@@ -190,6 +191,23 @@ def test_subpartitions():
         Partition((1, 1)),
         Partition((2, 1)),
     }
+
+
+def test_subpartitions_order():
+    # reverse-lexicographic on the zero-padded rows; verify's witnesses
+    # depend on it
+    for p in partitions_up_to(8):
+        got = [tuple(q) for q in subpartitions(p)]
+        inside = [tuple(q) for q in partitions_up_to(p.weight) if p.contains(q)]
+        expect = sorted(inside, key=lambda q: q + (0,) * (len(p) - len(q)), reverse=True)
+        assert got == expect, p
+    old = get_weight_limit()
+    set_weight_limit(5000)
+    try:
+        column = list(subpartitions((1,) * 1500))
+    finally:
+        set_weight_limit(old)
+    assert column == [(1,) * k for k in range(1500, -1, -1)]
 
 
 @given(partition_strategy(max_weight=8))
