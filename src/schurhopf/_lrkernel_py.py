@@ -45,7 +45,8 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
     head = shape[:start]
     found = []
     partial = [(0, (), ())]  # (cells placed, rows start..r-1, their profile)
-    for r in range(start, nrows):
+    r = start
+    while r < nrows:
         base = shape[r] if r < n else 0
         cap = shape[r - 1] - base if r else smax  # stay under the row above
         need = smin - base  # rows below r can absorb at most `base` cells
@@ -57,7 +58,12 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
         lim = smax  # ballot: no more than the previous label in rows 0..r-1
         if prev_cum is not None and prev_cum[r - 1] < lim:
             lim = prev_cum[r - 1]
-        last = r + 1 == nrows
+        # the rest of row r's run of equal parts sits under an equal row, so
+        # it takes no cell and the walk steps over it
+        stop = shape.index(base) + shape.count(base) if r < n else r + 1
+        if stop > nrows:
+            stop = nrows
+        last = stop == nrows
         extended = []
         for placed, rows, cum in partial:
             hi = lim - placed
@@ -76,10 +82,13 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
                         cum_all = (0,) * start + cum + (p,) * (len(new) - r)
                         found.append((new, cum_all, p))
                 else:
-                    extended.append((p, rows + (base + a,), cum + (p,)))
+                    extended.append(
+                        (p, rows + (base + a,) + shape[r + 1:stop], cum + (p,) * (stop - r))
+                    )
         if not extended:
             break
         partial = extended
+        r = stop
     return found
 
 

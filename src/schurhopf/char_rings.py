@@ -2,14 +2,22 @@
 
 Elements are written in one of three bases indexed by partitions: {lambda}
 (GL, plain Schur functions), [lambda] (orthogonal) and <lambda> (symplectic).
-All three live inside the same ring of symmetric functions; the bases are
-related by skewing with the Littlewood series
+All three live inside the same ring of symmetric functions, and each of O
+and Sp is one named Littlewood series away from GL, in either direction:
 
     {lambda} = [lambda/D] = <lambda/B>
-    [lambda] = {lambda/C} = <lambda/BC>
-    <lambda> = {lambda/A} = [lambda/AD]
+    [lambda] = {lambda/C}
+    <lambda> = {lambda/A}
 
-so conversion, branching and the Newell-Littlewood tensor products
+`_FROM_GL` and `_TO_GL` are the only places these series are named.  O and
+Sp convert into each other through GL, [lambda] = {lambda/C} = <lambda/CB>,
+and no composite series is ever built.  The antipode is (-1)^degree times
+the involution omega, which conjugates shapes and swaps the orthogonal and
+symplectic universal characters (Koike and Terada, J. Algebra 107, 1987):
+S[lambda] = (-1)^|lambda| <lambda'>, rewritten in O as
+(-1)^|lambda| [lambda'/AD], likewise with O and Sp exchanged, and
+S{lambda} = (-1)^|lambda| {lambda'}.  So conversion, branching, the
+antipode and the Newell-Littlewood tensor products
 
     [lambda].[mu] = sum_sigma [(lambda/sigma).(mu/sigma)]
 
@@ -28,20 +36,13 @@ a dict that no one else holds.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import lr
 from .errors import BasisMismatchError, InvalidArgumentError
 from .partition import Partition, subpartitions
 from .schur_ring import PairTable, SchurElement, TermTable, _merge
-from .series import (
-    SchurSeries,
-    littlewood_series,
-    series_term,
-    skew_by_series,
-    delta_double_prime,
-)
+from .series import SchurSeries, _skew_by_terms, delta_double_prime, series_term
 
 
 class Basis(enum.Enum):
@@ -123,8 +124,8 @@ class CharElement(BasisTagged, TermTable):
     def as_schur_element(self) -> SchurElement:
         """Forget the basis label and read the table as Schur coefficients.
 
-        Only honest for GL elements; internal conversions use it after
-        skewing by the appropriate series.
+        Only honest for GL elements; conversions read it before skewing by
+        the series that leads to GL.
         """
         return SchurElement._trusted(dict(self._terms))
 
@@ -147,58 +148,35 @@ class CharTensorElement(BasisTagged, PairTable):
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
-def _composite_term(names: tuple[str, str], d: int) -> SchurElement:
-    """Degree-d term of a product of two named series (AD, BC, ...)."""
-    first, second = names
-    total = SchurElement.zero()
-    for e in range(d + 1):
-        total = total + series_term(first, e) * series_term(second, d - e)
-    return total
+# The one series that leads from GL into each other basis, and back.
+_FROM_GL = {Basis.O: "D", Basis.SP: "B"}
+_TO_GL = {Basis.O: "C", Basis.SP: "A"}
 
 
-def _series_for(names: str, cutoff: int) -> SchurSeries:
-    if len(names) == 1:
-        return littlewood_series(names, cutoff)
-    pair = (names[0], names[1])
-    return SchurSeries(lambda d: _composite_term(pair, d), cutoff, names)
-
-
-# Conversion recipes: to re-express basis X in basis Y, skew by this series.
-_CONVERSION = {
-    (Basis.GL, Basis.O): "D",
-    (Basis.GL, Basis.SP): "B",
-    (Basis.O, Basis.GL): "C",
-    (Basis.SP, Basis.GL): "A",
-    (Basis.O, Basis.SP): "BC",
-    (Basis.SP, Basis.O): "AD",
-}
-
-
-def _skewed(x: SchurElement, series: SchurSeries, basis: Basis) -> CharElement:
-    """x / series, read in `basis`; skew_by_series returns a fresh table."""
-    return CharElement._trusted(skew_by_series(x, series)._terms, basis)
+def _skew(x: SchurElement, name: str | None) -> SchurElement:
+    """x / the named series; x itself for None."""
+    if name is None:
+        return x
+    return _skew_by_terms(x, lambda d: series_term(name, d))
 
 
 def convert(x: CharElement, to: Basis | str) -> CharElement:
-    """Rewrite x in another basis of the same underlying ring."""
+    """Rewrite x in another basis of the same underlying ring, through GL."""
     to = to if isinstance(to, Basis) else Basis.parse(to)
-    if to is x.basis:
-        return CharElement._trusted(dict(x._terms), to)
-    series = _series_for(_CONVERSION[(x.basis, to)], max(x.max_degree(), 0))
-    return _skewed(x.as_schur_element(), series, to)
+    y = x.as_schur_element()
+    if to is not x.basis:
+        y = _skew(_skew(y, _TO_GL.get(x.basis)), _FROM_GL.get(to))
+    return CharElement._trusted(y._terms, to)
 
 
 def branch_gl_to_o(lam) -> CharElement:
     """Restriction of the GL character {lam} to the orthogonal subgroup."""
-    lam = Partition(lam)
-    return _skewed(SchurElement.basis(lam), littlewood_series("D", lam.weight), Basis.O)
+    return convert(CharElement.basis_element(Basis.GL, lam), Basis.O)
 
 
 def branch_gl_to_sp(lam) -> CharElement:
     """Restriction of the GL character {lam} to the symplectic subgroup."""
-    lam = Partition(lam)
-    return _skewed(SchurElement.basis(lam), littlewood_series("B", lam.weight), Basis.SP)
+    return convert(CharElement.basis_element(Basis.GL, lam), Basis.SP)
 
 
 def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
@@ -253,7 +231,7 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
             for q, y in right.items():
                 for r, c in lr.product_expansion(p, q).items():
                     _merge(table, r, b * x * y * c)
-    label = {"D": Basis.O, "B": Basis.SP}.get(t.name or "", Basis.GL)
+    label = next((b for b, name in _FROM_GL.items() if name == t.name), Basis.GL)
     return CharElement._trusted(table, label)
 
 
@@ -268,64 +246,35 @@ def char_multiply(x: CharElement, y: CharElement) -> CharElement:
     return CharElement._trusted(table, x.basis)
 
 
-# Coproduct recipes per basis: Delta sends a basis character to
-# sum_zeta (lam/zeta) (x) (zeta/S) with this series S on the right slot.
-_COPRODUCT_SERIES = {Basis.GL: None, Basis.O: "D", Basis.SP: "B"}
-
-
 def char_coproduct(x: CharElement) -> CharTensorElement:
-    """The comultiplication of the character ring, slotwise in x's basis."""
-    series_name = _COPRODUCT_SERIES[x.basis]
+    """The comultiplication of the character ring, slotwise in x's basis:
+    a basis character goes to sum_zeta (lam/zeta) (x) {zeta}, with {zeta}
+    rewritten in x's basis."""
     table: dict[tuple[Partition, Partition], int] = {}
     for lam, a in x.items():
-        series = (
-            None
-            if series_name is None
-            else littlewood_series(series_name, lam.weight)
-        )
         for zeta in subpartitions(lam):
             left = lr.skew_expansion(lam, zeta)
-            if series is None:
-                right = {zeta: 1}
-            else:
-                right = skew_by_series(SchurElement.basis(zeta), series)
+            right = convert(CharElement._trusted({zeta: 1}, Basis.GL), x.basis)
             for p, u in left.items():
                 for q, v in right.items():
                     _merge(table, (p, q), a * u * v)
     return CharTensorElement._trusted(table, x.basis)
 
 
-def _counit_weights(x: CharElement, series_name: str) -> int:
-    total = 0
-    for p, c in x.items():
-        total += c * series_term(series_name, p.weight).coefficient(p)
-    return total
-
-
 def char_counit(x: CharElement) -> int:
-    """GL: the coefficient of {0}.  O and Sp: the signed indicator supported
-    on the C (resp. A) series partitions."""
-    if x.basis is Basis.GL:
+    """The coefficient of {0} in x rewritten in GL: for O and Sp the signed
+    indicator of the series that leads to GL (C, resp. A)."""
+    name = _TO_GL.get(x.basis)
+    if name is None:
         return x.coefficient(())
-    return _counit_weights(x, "C" if x.basis is Basis.O else "A")
+    return sum(c * series_term(name, p.weight).coefficient(p) for p, c in x.items())
 
 
-# Antipode recipes: S sends lam to (-1)^|lam| (lam' / this series).
-_ANTIPODE_SERIES = {Basis.GL: None, Basis.O: "AD", Basis.SP: "CB"}
+_PARTNER = {Basis.GL: Basis.GL, Basis.O: Basis.SP, Basis.SP: Basis.O}
 
 
 def char_antipode(x: CharElement) -> CharElement:
-    """The antipode; conjugates shapes, signs by weight, and (for O and Sp)
-    corrects by the composite series AD and CB."""
-    series_name = _ANTIPODE_SERIES[x.basis]
-    table: dict[Partition, int] = {}
-    for p, c in x.items():
-        sign = -1 if p.weight % 2 else 1
-        conj = p.conjugate()
-        if series_name is None:
-            _merge(table, conj, sign * c)
-            continue
-        series = _series_for(series_name, conj.weight)
-        for q, u in skew_by_series(SchurElement.basis(conj), series).items():
-            _merge(table, q, sign * c * u)
-    return CharElement._trusted(table, x.basis)
+    """The antipode: conjugate, sign by weight, read the result in the
+    partner basis (O and Sp swap, GL stays) and rewrite it in x's basis."""
+    conj = x.as_schur_element().antipode()
+    return convert(CharElement._trusted(conj._terms, _PARTNER[x.basis]), x.basis)

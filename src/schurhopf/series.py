@@ -74,9 +74,6 @@ class SchurSeries:
                 self._memo[d] = got
             return got
 
-    def terms_through(self, d: int) -> list[SchurElement]:
-        return [self.term(e) for e in range(d + 1)]
-
     def __repr__(self) -> str:
         return f"SchurSeries(name={self.name!r}, cutoff={self.cutoff})"
 
@@ -197,13 +194,16 @@ def skew_by_series(x: SchurElement, s: SchurSeries) -> SchurElement:
         raise DegreeOverflowError(
             f"element of degree {need} skewed by a series with cutoff {s.cutoff}"
         )
-    total = SchurElement.zero()
-    for d in range(need + 1):
-        term = s.term(d)
-        if term.is_zero:
-            continue
-        total = total + x.skew(term)
-    return total
+    return _skew_by_terms(x, s.term)
+
+
+def _skew_by_terms(x: SchurElement, term: Callable[[int], SchurElement]) -> SchurElement:
+    """x skewed once by term(0) + ... + term(deg x); the terms have distinct
+    degrees, so their tables join without clashing keys."""
+    series: dict[Partition, int] = {}
+    for d in range(x.max_degree() + 1):
+        series.update(term(d)._terms)
+    return x.skew(SchurElement._trusted(series))
 
 
 class TensorSeriesCoefficients(PairTable):

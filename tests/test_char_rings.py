@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurhopf.char_rings import (
     Basis,
@@ -16,8 +17,8 @@ from schurhopf.char_rings import (
     tensor_product,
     tensor_product_generic,
 )
-from schurhopf.errors import BasisMismatchError
-from schurhopf.partition import Partition, partitions_up_to
+from schurhopf.errors import BasisMismatchError, WeightLimitError
+from schurhopf.partition import Partition, get_weight_limit, partitions_up_to, set_weight_limit
 from schurhopf.schur_ring import SchurElement
 from schurhopf.series import littlewood_series, unit_series
 
@@ -274,3 +275,50 @@ def test_construction_rejects_bool_coefficients():
         CharTensorElement(Basis.SP, {((1,), ()): 0.5})
     with pytest.raises(TypeError):
         X(Basis.O, (1,)) * True
+
+
+def test_elements_over_a_lowered_weight_limit_raise_weight_limit_error():
+    # built at the default limit, then read at a lower one: every map that
+    # has to skew or split the element stops at the limit, the same way on
+    # every path; a same-basis convert and the GL antipode only relabel
+    old = get_weight_limit()
+    xs = [X(b, (6, 6)) for b in Basis]
+    set_weight_limit(10)
+    try:
+        for x in xs:
+            for to in Basis:
+                if to is x.basis:
+                    assert convert(x, to) == x
+                    continue
+                with pytest.raises(WeightLimitError):
+                    convert(x, to)
+            with pytest.raises(WeightLimitError):
+                char_coproduct(x)
+            if x.basis is Basis.GL:
+                assert dict(char_antipode(x).items()) == {(2,) * 6: 1}
+                continue
+            with pytest.raises(WeightLimitError):
+                char_antipode(x)
+    finally:
+        set_weight_limit(old)
+
+
+mixed_elements = st.builds(
+    CharElement,
+    st.sampled_from(list(Basis)),
+    st.dictionaries(
+        st.sampled_from([tuple(p) for p in partitions_up_to(6)]),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@given(mixed_elements)
+@settings(max_examples=60, deadline=None)
+def test_antipode_and_conversions_invert_on_mixed_elements(x):
+    assert char_antipode(char_antipode(x)) == x
+    for b in Basis:
+        if b is not x.basis:
+            assert convert(convert(x, b), x.basis) == x

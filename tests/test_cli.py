@@ -339,6 +339,56 @@ GOLDEN_STDOUT = [
      '[3, 1], "coeff": 1}, {"partition": [2, 2], "coeff": 1}, {"partition": '
      '[2], "coeff": 1}, {"partition": [1, 1], "coeff": 1}, {"partition": [], '
      '"coeff": 1}]}\n'),
+    # the maps that read the Littlewood series: each basis to the others,
+    # the O and Sp antipodes, branching to Sp and the Sp coproduct
+    (("char", "convert", "--from", "O", "--to", "Sp", "21"),
+     "⟨21⟩\n",
+     '{"basis": "Sp", "terms": [{"partition": [2, 1], "coeff": 1}]}\n'),
+    (("char", "convert", "--from", "O", "--to", "Sp", "31^2"),
+     "⟨31^2⟩+⟨3⟩-⟨1^3⟩-⟨1⟩\n",
+     '{"basis": "Sp", "terms": [{"partition": [3, 1, 1], "coeff": 1}, '
+     '{"partition": [3], "coeff": 1}, {"partition": [1, 1, 1], "coeff": -1}, '
+     '{"partition": [1], "coeff": -1}]}\n'),
+    (("char", "convert", "--from", "Sp", "--to", "O", "2^2"),
+     "[2^2]+[2]-[1^2]+[0]\n",
+     '{"basis": "O", "terms": [{"partition": [2, 2], "coeff": 1}, '
+     '{"partition": [2], "coeff": 1}, {"partition": [1, 1], "coeff": -1}, '
+     '{"partition": [], "coeff": 1}]}\n'),
+    (("char", "convert", "--from", "GL", "--to", "O", "31^2"),
+     "[31^2]+[21]+[1^3]\n",
+     '{"basis": "O", "terms": [{"partition": [3, 1, 1], "coeff": 1}, '
+     '{"partition": [2, 1], "coeff": 1}, {"partition": [1, 1, 1], '
+     '"coeff": 1}]}\n'),
+    (("char", "convert", "--from", "Sp", "--to", "GL", "2^2"),
+     "{2^2}-{1^2}\n",
+     '{"basis": "GL", "terms": [{"partition": [2, 2], "coeff": 1}, '
+     '{"partition": [1, 1], "coeff": -1}]}\n'),
+    (("char", "antipode", "--basis", "O", "21"),
+     "-[21]\n",
+     '{"basis": "O", "terms": [{"partition": [2, 1], "coeff": -1}]}\n'),
+    (("char", "antipode", "--basis", "O", "31^2"),
+     "-[31^2]+[3]-[1^3]+[1]\n",
+     '{"basis": "O", "terms": [{"partition": [3, 1, 1], "coeff": -1}, '
+     '{"partition": [3], "coeff": 1}, {"partition": [1, 1, 1], "coeff": -1}, '
+     '{"partition": [1], "coeff": 1}]}\n'),
+    (("char", "antipode", "--basis", "Sp", "2^2"),
+     "⟨2^2⟩-⟨2⟩+⟨1^2⟩+⟨0⟩\n",
+     '{"basis": "Sp", "terms": [{"partition": [2, 2], "coeff": 1}, '
+     '{"partition": [2], "coeff": -1}, {"partition": [1, 1], "coeff": 1}, '
+     '{"partition": [], "coeff": 1}]}\n'),
+    (("char", "branch", "--to", "Sp", "31^2"),
+     "⟨31^2⟩+⟨3⟩+⟨21⟩\n",
+     '{"basis": "Sp", "terms": [{"partition": [3, 1, 1], "coeff": 1}, '
+     '{"partition": [3], "coeff": 1}, {"partition": [2, 1], "coeff": 1}]}\n'),
+    (("char", "coproduct", "--basis", "Sp", "21"),
+     "⟨21⟩⊗⟨0⟩+⟨2⟩⊗⟨1⟩+⟨1^2⟩⊗⟨1⟩+⟨1⟩⊗⟨2⟩+⟨1⟩⊗⟨1^2⟩+⟨1⟩⊗⟨0⟩"
+     "+⟨0⟩⊗⟨21⟩+⟨0⟩⊗⟨1⟩\n",
+     '{"basis": "Sp", "terms": [{"left": [2, 1], "right": [], "coeff": 1}, '
+     '{"left": [2], "right": [1], "coeff": 1}, {"left": [1, 1], "right": [1], '
+     '"coeff": 1}, {"left": [1], "right": [2], "coeff": 1}, {"left": [1], '
+     '"right": [1, 1], "coeff": 1}, {"left": [1], "right": [], "coeff": 1}, '
+     '{"left": [], "right": [2, 1], "coeff": 1}, {"left": [], "right": [1], '
+     '"coeff": 1}]}\n'),
 ]
 
 

@@ -90,6 +90,19 @@ def test_recursion_depth_is_bounded_by_the_row_count():
     ]
 
 
+def test_coproduct_of_a_tall_column():
+    # Delta s_{1^n} = sum_k s_{1^k} (x) s_{1^(n-k)}; the one-column skews
+    # of the tall shape each step over the run of full rows at once
+    old_weight_limit = get_weight_limit()
+    set_weight_limit(5000)
+    try:
+        for n in (1, 7, 60, 150):
+            got = dict(SchurElement.basis((1,) * n).coproduct().items())
+            assert got == {((1,) * k, (1,) * (n - k)): 1 for k in range(n + 1)}, n
+    finally:
+        set_weight_limit(old_weight_limit)
+
+
 def _cli_table(capsys, *argv):
     assert cli.main(["--format", "json", *argv]) == 0
     return dict(SchurElement.from_json(json.loads(capsys.readouterr().out)).items())
