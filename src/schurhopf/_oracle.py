@@ -3,9 +3,18 @@
 Polynomials here are plain dicts mapping fixed-length exponent tuples to
 integer (or exact rational) coefficients, truncated by total degree.  Schur
 polynomials are built from the horizontal-strip chain description of
-column-strict tableaux, and symmetric polynomials are expanded back into the
-Schur basis by repeatedly subtracting the leading term, which is valid
-whenever the variable count is at least the degree.
+column-strict tableaux.
+
+A symmetric polynomial is fixed by its dominant monomials, those whose
+exponents are weakly decreasing: its lex-leading monomial is dominant, and
+the coefficient of a dominant x^mu in s_lam is the Kostka number K_{lam,mu}
+(Macdonald, Symmetric Functions and Hall Polynomials, I.6).  So a symmetric
+polynomial is expanded back into the Schur basis from its dominant monomials
+alone, by repeatedly taking the lex-leading one and subtracting that multiple
+of its Kostka row, which is valid whenever the variable count is at least
+the degree.  The defining products of the Littlewood series are expanded
+keeping only monomials that can still become dominant; the pruning is exact
+because exponents only grow as factors go in.
 
 Nothing in this module touches the Littlewood-Richardson code; that is the
 point, since these routines referee it.
@@ -65,23 +74,8 @@ def poly_mul(a: dict, b: dict, max_deg: int | None = None) -> dict:
     return out
 
 
-def poly_add(a: dict, b: dict, scale: int = 1) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + scale * c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
 def poly_one(nvars: int) -> dict:
     return {(0,) * nvars: 1}
-
-
-def homogeneous_part(poly: dict, d: int) -> dict:
-    return {e: c for e, c in poly.items() if sum(e) == d}
 
 
 @lru_cache(maxsize=None)
@@ -115,35 +109,81 @@ def schur_polynomial(lam: tuple, nvars: int) -> dict:
     return table.get(lam, {})
 
 
+@lru_cache(maxsize=None)
+def kostka_row(lam: tuple) -> dict[tuple, int]:
+    """The Kostka numbers K_{lam,mu}, keyed by every partition mu of |lam|
+    for which they are nonzero.
+
+    A column-strict tableau of shape lam and content mu is a chain of
+    horizontal strips of sizes mu_1, mu_2, ...; when mu is a partition those
+    sizes do not increase, so the chains are grown one strip at a time under
+    that bound and counted by the content they spell."""
+    lam = tuple(lam)
+    if not lam:
+        return {(): 1}
+    row: dict[tuple, int] = {}
+    layer = {((), ()): 1}
+    while layer:
+        deeper: dict[tuple, int] = {}
+        for (shape, content), count in layer.items():
+            last = content[-1] if content else sum(lam)
+            for nu, added in horizontal_extensions(shape, lam):
+                if not 0 < added <= last:
+                    continue
+                key = content + (added,)
+                if nu == lam:
+                    row[key] = row.get(key, 0) + count
+                else:
+                    deeper[nu, key] = deeper.get((nu, key), 0) + count
+        layer = deeper
+    return row
+
+
 def schur_expand_homogeneous(poly: dict, nvars: int) -> dict[Partition, int]:
     """Write a homogeneous symmetric polynomial in the Schur basis.
 
-    Needs nvars at least the degree so no partition is invisible.  Works by
-    subtracting the Schur polynomial of the lex-leading exponent until
-    nothing is left; a non-partition leading exponent means the input was
-    not symmetric."""
+    Needs nvars at least the degree so no partition is invisible.  Reads
+    only the dominant monomials, so `poly` may hold just those: the
+    lex-leading one gives the next Schur coefficient, and that multiple of
+    its Kostka row comes off until nothing is left.  A monomial whose sorted
+    twin has another coefficient means the input was not symmetric."""
     if not poly:
         return {}
     degree = sum(next(iter(poly)))
     if nvars < degree:
         raise ValueError("need at least as many variables as the degree")
-    work = dict(poly)
+    work = {}
+    for e, c in poly.items():
+        twin = tuple(sorted(e, reverse=True))
+        if poly.get(twin) != c:
+            raise ValueError(f"not symmetric: exponents {e} and {twin} differ")
+        if e == twin:
+            work[e] = c
     out: dict[Partition, int] = {}
     while work:
         lead = max(work)
-        if any(lead[i] < lead[i + 1] for i in range(len(lead) - 1)):
-            raise ValueError(f"not symmetric: leading exponent {lead}")
         coeff = work[lead]
         shape = tuple(x for x in lead if x)
         out[Partition(shape)] = coeff
-        work = poly_add(work, schur_polynomial(shape, nvars), -coeff)
+        for mu, k in kostka_row(shape).items():
+            e = mu + (0,) * (nvars - len(mu))
+            v = work.get(e, 0) - coeff * k
+            if v:
+                work[e] = v
+            else:
+                del work[e]
     return out
 
 
-@lru_cache(maxsize=None)
-def littlewood_product_poly(kind: str, nvars: int, max_deg: int) -> dict:
-    """Truncation of prod (1 - x_i x_j) over i<j (kind "A") or i<=j ("C"),
-    or of the inverse products ("B", "D") via geometric factors."""
+def _dominant_product(kind: str, nvars: int, max_deg: int) -> dict:
+    """The dominant monomials of the product prod (1 - x_i x_j) over i<j
+    (kind "A") or i<=j ("C"), or of the inverse products ("B", "D") via
+    geometric factors, truncated at total degree max_deg.
+
+    Factors go in with i as the outer loop, so once row i is in, x_i's
+    exponent is final.  Then a monomial whose exponents e_0..e_i are not
+    weakly decreasing, or with a later e_k already above e_i, is dropped:
+    exponents only grow, so it can never become dominant."""
     out = poly_one(nvars)
     inverse = kind in ("B", "D")
     strict = kind in ("A", "B")
@@ -164,6 +204,10 @@ def littlewood_product_poly(kind: str, nvars: int, max_deg: int) -> dict:
                 e[j] += 1
                 factor = {(0,) * nvars: 1, tuple(e): -1}
             out = poly_mul(out, factor, max_deg)
+        out = {
+            e: c for e, c in out.items()
+            if (i == 0 or e[i - 1] >= e[i]) and max(e[i:]) == e[i]
+        }
     return out
 
 
@@ -171,8 +215,10 @@ def series_term_by_expansion(name: str, d: int) -> dict[Partition, int]:
     """Degree-d Schur coefficients of a named series, straight from the
     defining product expanded in max(d, 1) variables."""
     nvars = max(d, 1)
-    poly = littlewood_product_poly(name.strip().upper(), nvars, d)
-    return schur_expand_homogeneous(homogeneous_part(poly, d), nvars)
+    poly = _dominant_product(name.strip().upper(), nvars, d)
+    return schur_expand_homogeneous(
+        {e: c for e, c in poly.items() if sum(e) == d}, nvars
+    )
 
 
 def product_in_schur_basis(lam, mu, nvars: int | None = None) -> dict[Partition, int]:

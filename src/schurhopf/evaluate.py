@@ -2,8 +2,10 @@
 
 Values are big rationals (fractions.Fraction) or Gaussian rationals; floats
 are rejected everywhere, since every identity this package checks is exact.
-The tableau-sum and bialternant evaluators are written against different
-definitions on purpose: agreement between them is evidence, not tautology.
+The tableau-sum, bialternant and Jacobi-Trudi evaluators are written against
+different definitions on purpose: agreement between them is evidence, not
+tautology.  Characters use Jacobi-Trudi, whose cost does not grow with the
+number of tableaux and which allows repeated eigenvalues.
 """
 
 from __future__ import annotations
@@ -377,12 +379,46 @@ def eval_schur_bialternant(lam, values):
     return _det_bareiss(numer) / denom
 
 
+def _complete_homogeneous(vals, top):
+    """h_0..h_top of the values, adding one variable at a time:
+    h_k(x_1..x_m) = h_k(x_1..x_{m-1}) + x_m h_{k-1}(x_1..x_m)."""
+    h = [Fraction(1)] + [Fraction(0)] * top
+    for x in vals:
+        for k in range(1, top + 1):
+            h[k] = h[k] + x * h[k - 1]
+    return h
+
+
+def _jacobi_trudi(lam, h):
+    """det(h_{lam_i - i + j}) for a partition lam, given h_0..h_|lam|
+    (no index exceeds lam_1 + length - 1 <= |lam|)."""
+    n = len(lam)
+    return _det_bareiss([
+        [h[k] if k >= 0 else Fraction(0) for k in (lam[i] - i + j for j in range(n))]
+        for i in range(n)
+    ])
+
+
+def eval_schur_jacobi_trudi(lam, values):
+    """s_lam(values) as the Jacobi-Trudi determinant det(h_{lam_i - i + j}).
+
+    Needs no division by a Vandermonde product, so repeated values are
+    fine.  Returns 0 when lam has more rows than there are values.
+    """
+    lam = Partition(lam)
+    vals = [coerce_value(v) for v in values]
+    if lam.length > len(vals):
+        return Fraction(0)
+    return _jacobi_trudi(lam, _complete_homogeneous(vals, lam.weight))
+
+
 def eval_character(lam, spec: EigenvalueSpec):
     """Evaluate the universal character labeled by lam at a group element.
 
     The basis is dictated by the group family (GL/SL use {lam}, the
     orthogonal families [lam], Sp(2k) <lam>).  The character is expanded
-    into Schur terms and each is evaluated at the full eigenvalue list.
+    into Schur terms and each is evaluated at the full eigenvalue list as
+    a Jacobi-Trudi determinant, from one shared list of h_k.
 
     Sp(2k+1) is rejected: its universal characters are indecomposable but
     not irreducible, so no specialization rule is available here.  O/Sp
@@ -406,9 +442,11 @@ def eval_character(lam, spec: EigenvalueSpec):
         )
     gl = convert(CharElement.basis_element(basis, lam), Basis.GL)
     xs = spec.eigenvalues()
+    terms = [(p, c) for p, c in gl.items() if p.length <= len(xs)]
+    h = _complete_homogeneous(xs, max((p.weight for p, _ in terms), default=0))
     total = Fraction(0)
-    for p, c in gl.items():
-        total = total + c * eval_schur_tableaux(p, xs)
+    for p, c in terms:
+        total = total + c * _jacobi_trudi(p, h)
     return total
 
 

@@ -16,9 +16,11 @@ from schurhopf.evaluate import (
     coerce_value,
     eval_character,
     eval_schur_bialternant,
+    eval_schur_jacobi_trudi,
     eval_schur_tableaux,
     verify_cauchy,
 )
+from schurhopf import evaluate
 from schurhopf.partition import Partition, partitions_up_to
 
 P = Partition
@@ -207,6 +209,24 @@ class TestSchurEvaluation:
         shuffled = [xs[j] for j in perm if j < len(xs)]
         assert eval_schur_tableaux(lam, shuffled) == eval_schur_tableaux(lam, xs)
 
+    @given(
+        st.sampled_from(list(partitions_up_to(7))),
+        st.lists(
+            st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-2, 3), i, GaussianRational(1, 1)]),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_three_methods_agree_with_repeated_values(self, lam, xs):
+        value = eval_schur_jacobi_trudi(lam, xs)
+        assert value == eval_schur_tableaux(lam, xs)
+        if len(set(xs)) == len(xs):
+            assert value == eval_schur_bialternant(lam, xs)
+        else:
+            with pytest.raises(SingularDenominatorError):
+                eval_schur_bialternant(lam, xs)
+
     def test_stability_append_zero_keeps_value(self):
         # appending a zero variable changes nothing since columns cap at n
         lam = P((3, 1))
@@ -282,6 +302,14 @@ class TestEvalCharacter:
         spec = EigenvalueSpec("Sp(4)", [2, 3])
         with pytest.raises(StableRangeError):
             eval_character(P((1, 1, 1)), spec)
+
+    def test_gl_terms_are_jacobi_trudi_determinants(self, monkeypatch):
+        def no_tableaux(lam, values):
+            raise AssertionError("eval_character summed tableaux")
+
+        monkeypatch.setattr(evaluate, "eval_schur_tableaux", no_tableaux)
+        spec = EigenvalueSpec("GL(8)", range(1, 9))
+        assert eval_character(P((8,) * 8), spec) == 6984964247141514123629140377600000000
 
     def test_gl_has_no_stable_range_guard(self):
         spec = EigenvalueSpec("GL(2)", [2, 3])

@@ -1,13 +1,17 @@
-"""The brute-force oracle: its polynomial arithmetic and its independence
+"""The brute-force oracle: its polynomial arithmetic, its dominant-monomial
+expansion against the earlier full-polynomial route, and its independence
 from the code it referees."""
 
 import ast
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_reference
 import schurhopf
 from schurhopf import _oracle
+from schurhopf.partition import partitions_up_to
 
 
 def _polys(nvars):
@@ -37,6 +41,44 @@ def _naive_mul(a, b, max_deg):
 def test_poly_mul_matches_naive_truncated_product(pair, max_deg):
     a, b = pair
     assert _oracle.poly_mul(a, b, max_deg) == _naive_mul(a, b, max_deg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([tuple(p) for p in partitions_up_to(7)]))
+def test_kostka_row_is_the_dominant_part_of_the_schur_polynomial(lam):
+    nvars = max(sum(lam), 1)
+    dominant = {
+        tuple(x for x in e if x): c
+        for e, c in _oracle.schur_polynomial(lam, nvars).items()
+        if list(e) == sorted(e, reverse=True)
+    }
+    assert _oracle.kostka_row(lam) == dominant
+
+
+def test_series_terms_match_the_full_polynomial_route():
+    for name in "ABCD":
+        for d in range(7):
+            assert _oracle.series_term_by_expansion(name, d) == (
+                oracle_reference.series_term_by_expansion(name, d)
+            ), (name, d)
+    for name in "AC":
+        assert _oracle.series_term_by_expansion(name, 8) == (
+            oracle_reference.series_term_by_expansion(name, 8)
+        ), name
+
+
+def test_expansion_needs_enough_variables():
+    with pytest.raises(ValueError, match="as many variables as the degree"):
+        _oracle.schur_expand_homogeneous({(2, 1): 1, (1, 2): 1}, 2)
+
+
+def test_expansion_refuses_a_non_symmetric_polynomial():
+    full = {(2, 1, 0): 1, (1, 2, 0): 2, (1, 0, 2): 1, (0, 1, 2): 1}
+    with pytest.raises(ValueError, match="not symmetric"):
+        _oracle.schur_expand_homogeneous(full, 3)
+    # s_2 s_1 in full reads back as s_3 + s_21
+    prod = _oracle.poly_mul(_oracle.schur_polynomial((2,), 3), _oracle.schur_polynomial((1,), 3))
+    assert _oracle.schur_expand_homogeneous(prod, 3) == {(3,): 1, (2, 1): 1}
 
 
 def _package_imports(module: str) -> set[str]:

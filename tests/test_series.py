@@ -77,8 +77,8 @@ def test_c_and_a_series_signed_terms():
 
 def test_series_match_product_expansion_oracle():
     for name in "ABCD":
-        ser = littlewood_series(name, 6)
-        for d in range(7):
+        ser = littlewood_series(name, 10)
+        for d in range(11):
             assert dict(ser.term(d).items()) == _oracle.series_term_by_expansion(name, d)
 
 

@@ -9,7 +9,7 @@ witness shows up here.
 
 import pytest
 
-from schurhopf import verify
+from schurhopf import _oracle, verify
 from schurhopf.char_rings import Basis, CharElement, tensor_product, tensor_product_generic
 from schurhopf.lr import lr_coefficient
 from schurhopf.partition import subpartitions
@@ -48,6 +48,13 @@ def _dropping_subpartitions(nu):
 def _doubling_lr(sigma, tau, rho):
     c = lr_coefficient(sigma, tau, rho)
     return 2 * c if rho.weight >= 2 else c
+
+
+def _oracle_missing_a_term(name, d):
+    term = _oracle.series_term_by_expansion(name, d)
+    if name == "A" and d == 8:
+        del term[min(term)]
+    return term
 
 
 FORCED_FAILURES = [
@@ -98,6 +105,12 @@ FORCED_FAILURES = [
         CheckResult("skew of a product expands by paired skews (total weight <= 3)",
                     False, "mu=0, nu=2, rho=2"),
         id="skew_of_product",
+    ),
+    pytest.param(
+        "check_ca_oracle", (8,), "series_term_by_expansion", _oracle_missing_a_term,
+        CheckResult("A and C match the defining-product oracle (degree <= 8)",
+                    False, "A degree 8 disagrees with product expansion"),
+        id="ca_oracle_missing_term",
     ),
 ]
 
