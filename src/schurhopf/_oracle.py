@@ -22,7 +22,9 @@ point, since these routines referee it.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from math import factorial
 from operator import add
 
 from .partition import Partition
@@ -140,25 +142,43 @@ def kostka_row(lam: tuple) -> dict[tuple, int]:
 
 
 def schur_expand_homogeneous(poly: dict, nvars: int) -> dict[Partition, int]:
-    """Write a homogeneous symmetric polynomial in the Schur basis.
+    """Write a homogeneous symmetric polynomial, given with every monomial,
+    in the Schur basis.
 
-    Needs nvars at least the degree so no partition is invisible.  Reads
-    only the dominant monomials, so `poly` may hold just those: the
-    lex-leading one gives the next Schur coefficient, and that multiple of
-    its Kostka row comes off until nothing is left.  A monomial whose sorted
-    twin has another coefficient means the input was not symmetric."""
-    if not poly:
-        return {}
-    degree = sum(next(iter(poly)))
-    if nvars < degree:
-        raise ValueError("need at least as many variables as the degree")
-    work = {}
+    The input is symmetric when each monomial carries its sorted twin's
+    coefficient and each twin's orbit under permuting the variables is
+    present in full; anything else raises ValueError.  The expansion itself
+    reads only the dominant monomials (`schur_expand_dominant`)."""
+    seen: dict[tuple, int] = {}
     for e, c in poly.items():
         twin = tuple(sorted(e, reverse=True))
         if poly.get(twin) != c:
             raise ValueError(f"not symmetric: exponents {e} and {twin} differ")
-        if e == twin:
-            work[e] = c
+        seen[twin] = seen.get(twin, 0) + 1
+    for twin, count in seen.items():
+        orbit = factorial(len(twin))
+        for m in Counter(twin).values():
+            orbit //= factorial(m)
+        if count != orbit:
+            raise ValueError(
+                f"not symmetric: {count} of the {orbit} permutations of {twin}"
+            )
+    return schur_expand_dominant({e: poly[e] for e in seen}, nvars)
+
+
+def schur_expand_dominant(dominant: dict, nvars: int) -> dict[Partition, int]:
+    """Write the homogeneous symmetric polynomial whose dominant monomials
+    are `dominant` in the Schur basis.
+
+    Needs nvars at least the degree so no partition is invisible.  The
+    lex-leading monomial gives the next Schur coefficient, and that multiple
+    of its Kostka row comes off until nothing is left."""
+    if not dominant:
+        return {}
+    degree = sum(next(iter(dominant)))
+    if nvars < degree:
+        raise ValueError("need at least as many variables as the degree")
+    work = dict(dominant)
     out: dict[Partition, int] = {}
     while work:
         lead = max(work)
@@ -216,7 +236,7 @@ def series_term_by_expansion(name: str, d: int) -> dict[Partition, int]:
     defining product expanded in max(d, 1) variables."""
     nvars = max(d, 1)
     poly = _dominant_product(name.strip().upper(), nvars, d)
-    return schur_expand_homogeneous(
+    return schur_expand_dominant(
         {e: c for e, c in poly.items() if sum(e) == d}, nvars
     )
 

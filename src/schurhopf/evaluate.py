@@ -399,19 +399,6 @@ def _jacobi_trudi(lam, h):
     ])
 
 
-def eval_schur_jacobi_trudi(lam, values):
-    """s_lam(values) as the Jacobi-Trudi determinant det(h_{lam_i - i + j}).
-
-    Needs no division by a Vandermonde product, so repeated values are
-    fine.  Returns 0 when lam has more rows than there are values.
-    """
-    lam = Partition(lam)
-    vals = [coerce_value(v) for v in values]
-    if lam.length > len(vals):
-        return Fraction(0)
-    return _jacobi_trudi(lam, _complete_homogeneous(vals, lam.weight))
-
-
 def eval_character(lam, spec: EigenvalueSpec):
     """Evaluate the universal character labeled by lam at a group element.
 

@@ -73,9 +73,16 @@ def test_expansion_needs_enough_variables():
 
 
 def test_expansion_refuses_a_non_symmetric_polynomial():
-    full = {(2, 1, 0): 1, (1, 2, 0): 2, (1, 0, 2): 1, (0, 1, 2): 1}
+    twin_differs = {(2, 1, 0): 1, (1, 2, 0): 2, (1, 0, 2): 1, (0, 1, 2): 1}
     with pytest.raises(ValueError, match="not symmetric"):
-        _oracle.schur_expand_homogeneous(full, 3)
+        _oracle.schur_expand_homogeneous(twin_differs, 3)
+    # every present monomial agrees with its twin, but the orbit of x^(2,1,0)
+    # is missing members
+    for partial in ({(2, 1, 0): 1}, {(2, 1, 0): 1, (1, 2, 0): 1}):
+        with pytest.raises(ValueError, match="not symmetric"):
+            _oracle.schur_expand_homogeneous(partial, 3)
+    # the dominant expansion reads {(2,1,0): 1} as m_21 = s_21 - 2 s_111
+    assert _oracle.schur_expand_dominant({(2, 1, 0): 1}, 3) == {(2, 1): 1, (1, 1, 1): -2}
     # s_2 s_1 in full reads back as s_3 + s_21
     prod = _oracle.poly_mul(_oracle.schur_polynomial((2,), 3), _oracle.schur_polynomial((1,), 3))
     assert _oracle.schur_expand_homogeneous(prod, 3) == {(3,): 1, (2, 1): 1}
