@@ -2,10 +2,11 @@
 
 Values are big rationals (fractions.Fraction) or Gaussian rationals; floats
 are rejected everywhere, since every identity this package checks is exact.
-The tableau-sum, bialternant and Jacobi-Trudi evaluators are written against
-different definitions on purpose: agreement between them is evidence, not
-tautology.  Characters use Jacobi-Trudi, whose cost does not grow with the
-number of tableaux and which allows repeated eigenvalues.
+The tableau-sum and bialternant evaluators and the character determinants
+are written against different definitions on purpose: agreement between
+them is evidence, not tautology.  A character is one determinant in the h_k
+(Jacobi-Trudi for GL, Koike-Terada for O and Sp), whose cost does not grow
+with the number of tableaux and which allows repeated eigenvalues.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ._oracle import (
     poly_one,
     schur_polynomial,
 )
-from .char_rings import Basis, CharElement, convert
+from .char_rings import Basis
 from .errors import (
     InvalidArgumentError,
     SingularDenominatorError,
@@ -389,23 +390,15 @@ def _complete_homogeneous(vals, top):
     return h
 
 
-def _jacobi_trudi(lam, h):
-    """det(h_{lam_i - i + j}) for a partition lam, given h_0..h_|lam|
-    (no index exceeds lam_1 + length - 1 <= |lam|)."""
-    n = len(lam)
-    return _det_bareiss([
-        [h[k] if k >= 0 else Fraction(0) for k in (lam[i] - i + j for j in range(n))]
-        for i in range(n)
-    ])
-
-
 def eval_character(lam, spec: EigenvalueSpec):
     """Evaluate the universal character labeled by lam at a group element.
 
-    The basis is dictated by the group family (GL/SL use {lam}, the
-    orthogonal families [lam], Sp(2k) <lam>).  The character is expanded
-    into Schur terms and each is evaluated at the full eigenvalue list as
-    a Jacobi-Trudi determinant, from one shared list of h_k.
+    The group family fixes the basis: {lam} for GL/SL, [lam] for the
+    orthogonal families, <lam> for Sp(2k).  Each is one determinant in the
+    h_k of the full eigenvalue list (Koike & Terada, J. Algebra 107, 1987):
+    entry (i, j), counted from 0, is h[lam_i-i+j], less h[lam_i-i-j-2] for
+    [lam].  <lam> is half the determinant with h[lam_i-i-j] added; column 0
+    is then 2 h[lam_i-i], so the half is taken by keeping h[lam_i-i] there.
 
     Sp(2k+1) is rejected: its universal characters are indecomposable but
     not irreducible, so no specialization rule is available here.  O/Sp
@@ -427,14 +420,21 @@ def eval_character(lam, spec: EigenvalueSpec):
             f"outside the stable range of {spec.group_name} "
             f"(needs length <= {spec.rank})"
         )
-    gl = convert(CharElement.basis_element(basis, lam), Basis.GL)
     xs = spec.eigenvalues()
-    terms = [(p, c) for p, c in gl.items() if p.length <= len(xs)]
-    h = _complete_homogeneous(xs, max((p.weight for p, _ in terms), default=0))
-    total = Fraction(0)
-    for p, c in terms:
-        total = total + c * _jacobi_trudi(p, h)
-    return total
+    n = lam.length
+    if n > len(xs):
+        return Fraction(0)
+    h = _complete_homogeneous(xs, lam[0] + n - 1 if n else 0)
+    h_at = lambda k: h[k] if k >= 0 else Fraction(0)
+
+    def entry(a, j):
+        if basis is Basis.O:
+            return h_at(a + j) - h_at(a - j - 2)
+        if basis is Basis.SP and j:
+            return h_at(a + j) + h_at(a - j)
+        return h_at(a + j)
+
+    return _det_bareiss([[entry(lam[i] - i, j) for j in range(n)] for i in range(n)])
 
 
 def _embed(poly: dict, nx: int, ny: int, side: str) -> dict:

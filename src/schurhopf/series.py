@@ -16,9 +16,8 @@ suite against a truncated expansion of the defining products.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import DegreeOverflowError, InvalidArgumentError, NotInvertibleError
 from .partition import (
@@ -49,7 +48,6 @@ class SchurSeries:
         self.cutoff = cutoff
         self.name = name
         self._memo: dict[int, SchurElement] = {}
-        self._lock = threading.Lock()
         self._twisted: dict[int, TensorSeriesCoefficients] = {}
 
     def term(self, d: int) -> SchurElement:
@@ -61,18 +59,15 @@ class SchurSeries:
                 f"degree {d} exceeds the cutoff {self.cutoff} of series "
                 f"{self.name or '<anonymous>'}"
             )
-        with self._lock:
-            got = self._memo.get(d)
-            if got is None:
-                got = self._fn(d)
-                if not isinstance(got, SchurElement):
-                    raise TypeError("series term function must return SchurElement")
-                if any(p.weight != d for p, _ in got.items()):
-                    raise ValueError(
-                        f"series term of degree {d} is not homogeneous: {got}"
-                    )
-                self._memo[d] = got
-            return got
+        got = self._memo.get(d)
+        if got is None:
+            got = self._fn(d)
+            if not isinstance(got, SchurElement):
+                raise TypeError("series term function must return SchurElement")
+            if any(p.weight != d for p, _ in got.items()):
+                raise ValueError(f"series term of degree {d} is not homogeneous: {got}")
+            self._memo[d] = got
+        return got
 
     def __repr__(self) -> str:
         return f"SchurSeries(name={self.name!r}, cutoff={self.cutoff})"
@@ -129,20 +124,6 @@ def unit_series(cutoff: int = DEFAULT_CUTOFF) -> SchurSeries:
     )
 
 
-def series_from_element_list(
-    elements: Iterable[SchurElement], name: str | None = None
-) -> SchurSeries:
-    """Build a series from explicit terms; element k must be homogeneous of
-    degree k.  The cutoff is the index of the last element given."""
-    terms = list(elements)
-    if not terms:
-        raise ValueError("need at least the degree-0 element")
-    for d, e in enumerate(terms):
-        if any(p.weight != d for p, _ in e.items()):
-            raise ValueError(f"element {d} is not homogeneous of degree {d}")
-    return SchurSeries(lambda d: terms[d], len(terms) - 1, name)
-
-
 def series_product(
     s: SchurSeries, t: SchurSeries, cutoff: int | None = None, name: str | None = None
 ) -> SchurSeries:
@@ -171,20 +152,18 @@ def series_inverse(
     cut = s.cutoff if cutoff is None else cutoff
     if cut > s.cutoff:
         raise DegreeOverflowError("inverse cutoff exceeds the series cutoff")
-    memo: dict[int, SchurElement] = {0: SchurElement.one()}
-    lock = threading.RLock()
 
     def fn(d: int) -> SchurElement:
-        with lock:
-            if d not in memo:
-                # triangular recurrence: T(d) = -sum_{e>=1} S(e) T(d-e)
-                total = SchurElement.zero()
-                for e in range(1, d + 1):
-                    total = total + s.term(e) * fn(d - e)
-                memo[d] = -total
-            return memo[d]
+        if d == 0:
+            return SchurElement.one()
+        # triangular recurrence: T(d) = -sum_{e>=1} S(e) T(d-e)
+        total = SchurElement.zero()
+        for e in range(1, d + 1):
+            total = total + s.term(e) * inv.term(d - e)
+        return -total
 
-    return SchurSeries(fn, cut, name or (f"{s.name}^-1" if s.name else None))
+    inv = SchurSeries(fn, cut, name or (f"{s.name}^-1" if s.name else None))
+    return inv
 
 
 def skew_by_series(x: SchurElement, s: SchurSeries) -> SchurElement:
@@ -260,8 +239,6 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
         raise DegreeOverflowError("cutoff exceeds the series cutoff")
     got = t._twisted.get(cut)
     if got is None:
-        # Built outside t._lock (a plain Lock that t.term takes); a race
-        # only builds the same table twice.
         got = t._twisted[cut] = _delta_double_prime(t, cut)
     return got
 

@@ -235,6 +235,67 @@ def test_char_antipode_axiom_small():
             assert folded == expect, (basis, p)
 
 
+# The Hopf axioms of CharGL, CharO and CharSp, on small weights.
+_BASES = [Basis.GL, Basis.O, Basis.SP]
+_SMALL = list(partitions_up_to(4))
+_PAIRS = [(lam, mu) for lam in _SMALL for mu in _SMALL if lam.weight + mu.weight <= 4]
+
+
+def _nonzero(table):
+    return {k: c for k, c in table.items() if c}
+
+
+def _slotwise(x, y):
+    """(a (x) b)(c (x) d) = ac (x) bd in the character ring of x's basis."""
+    table = {}
+    for (a, b), u in x.items():
+        for (c, d), v in y.items():
+            left = tensor_product(a, c, x.basis)
+            right = tensor_product(b, d, x.basis)
+            for p, s in left.items():
+                for q, t in right.items():
+                    table[p, q] = table.get((p, q), 0) + u * v * s * t
+    return _nonzero(table)
+
+
+@pytest.mark.parametrize("basis", _BASES)
+def test_char_coproduct_is_coassociative(basis):
+    for lam in _SMALL:
+        left, right = {}, {}
+        for (a, b), c in char_coproduct(X(basis, lam)).items():
+            for (a1, a2), d in char_coproduct(X(basis, a)).items():
+                left[a1, a2, b] = left.get((a1, a2, b), 0) + c * d
+            for (b1, b2), d in char_coproduct(X(basis, b)).items():
+                right[a, b1, b2] = right.get((a, b1, b2), 0) + c * d
+        assert _nonzero(left) == _nonzero(right), (basis, lam)
+
+
+@pytest.mark.parametrize("basis", _BASES)
+def test_char_coproduct_is_an_algebra_map(basis):
+    for lam, mu in _PAIRS:
+        x, y = X(basis, lam), X(basis, mu)
+        got = _nonzero(char_coproduct(char_multiply(x, y)))
+        assert got == _slotwise(char_coproduct(x), char_coproduct(y)), (lam, mu)
+
+
+@pytest.mark.parametrize("basis", _BASES)
+def test_char_counit_is_multiplicative(basis):
+    for lam, mu in _PAIRS:
+        x, y = X(basis, lam), X(basis, mu)
+        assert char_counit(char_multiply(x, y)) == char_counit(x) * char_counit(y)
+
+
+@pytest.mark.parametrize("basis", _BASES)
+def test_char_multiply_is_associative(basis):
+    shapes = list(partitions_up_to(2))
+    for lam in shapes:
+        for mu in shapes:
+            for nu in shapes:
+                x, y, z = X(basis, lam), X(basis, mu), X(basis, nu)
+                lhs = char_multiply(char_multiply(x, y), z)
+                assert lhs == char_multiply(x, char_multiply(y, z)), (lam, mu, nu)
+
+
 def test_as_schur_element():
     x = X(Basis.O, (2, 1))
     assert x.as_schur_element() == SchurElement.basis(P((2, 1)))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ from schurhopf.evaluate import (
     eval_schur_tableaux,
     verify_cauchy,
 )
-from schurhopf import evaluate
+from schurhopf import char_rings, evaluate, lr
+from schurhopf.char_rings import Basis, CharElement, convert
 from schurhopf.partition import Partition, partitions_up_to
 
 P = Partition
@@ -315,6 +317,61 @@ class TestEvalCharacter:
     def test_gl_has_no_stable_range_guard(self):
         spec = EigenvalueSpec("GL(2)", [2, 3])
         assert eval_character(P((1, 1, 1)), spec) == 0
+
+    def test_so17_at_8_8_is_pinned(self):
+        spec = EigenvalueSpec("SO(17)", range(1, 9))
+        assert eval_character(P((8,) * 8), spec) == F(
+            1742432954475890611392705103012267303642103335738084395643731364619401335163,
+            93132856628553521648388538368000000,
+        )
+
+    def test_o_and_sp_need_no_conversion_or_lr_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eval_character left the determinant path")
+
+        monkeypatch.setattr(char_rings, "convert", refuse)
+        monkeypatch.setattr(lr, "skew_expansion", refuse)
+        assert eval_character(P((2,)), EigenvalueSpec("SO(5)", [1, 1])) == 14
+        assert eval_character(P((1, 1)), EigenvalueSpec("Sp(6)", [1, 1, 1])) == 14
+        assert eval_character(P((1, 1)), EigenvalueSpec("O-(5)", [2, 3])) == F(9, 2)
+
+
+# Every family with its sizes; SL and Gaussian points included.
+_FAMILIES = [
+    ("GL", (1, 2, 3, 4)),
+    ("SL", (1, 2, 3, 4)),
+    ("SO", (2, 3, 4, 5, 6, 7)),
+    ("O-", (2, 3, 4, 5, 6, 7)),
+    ("Sp", (2, 4, 6)),
+]
+_POINTS = [F(1), F(-1), F(2), F(1, 2), F(-2, 3), F(3), i, GaussianRational(1, 1)]
+_SHAPES = list(partitions_up_to(6))
+
+
+@st.composite
+def _characters(draw):
+    family, sizes = draw(st.sampled_from(_FAMILIES))
+    size = draw(st.sampled_from(sizes))
+    count = EigenvalueSpec.free_count_for(family, size)
+    free = draw(st.lists(st.sampled_from(_POINTS), min_size=count, max_size=count))
+    if family == "SL":
+        free[-1] = 1 / math.prod(free[:-1], start=F(1))
+    spec = EigenvalueSpec(f"{family}({size})", free)
+    shapes = [p for p in _SHAPES if family in ("GL", "SL") or p.length <= spec.rank]
+    return draw(st.sampled_from(shapes)), spec
+
+
+@given(_characters())
+@settings(max_examples=300, deadline=None)
+def test_character_determinant_matches_conversion_to_schur_terms(case):
+    # referee: rewrite the character in GL and sum its Schur polynomials
+    lam, spec = case
+    gl = convert(CharElement.basis_element(spec.character_basis, lam), Basis.GL)
+    xs = spec.eigenvalues()
+    expected = F(0)
+    for p, c in gl.items():
+        expected = expected + c * eval_schur_tableaux(p, xs)
+    assert eval_character(lam, spec) == expected
 
 
 def test_verify_cauchy():

@@ -7,7 +7,6 @@ from schurhopf.series import (
     SchurSeries,
     delta_double_prime,
     littlewood_series,
-    series_from_element_list,
     series_inverse,
     series_product,
     skew_by_series,
@@ -130,8 +129,9 @@ def test_unit_series():
     assert all(u.term(d).is_zero for d in range(1, 5))
 
 
-def test_series_from_element_list():
-    ser = series_from_element_list([s(P(())), s(P((1,))), SchurElement.zero()], name="x")
+def test_series_from_explicit_terms():
+    terms = [s(P(())), s(P((1,))), SchurElement.zero()]
+    ser = SchurSeries(lambda d: terms[d], 2, "x")
     assert ser.term(1) == s(P((1,)))
     assert ser.term(2).is_zero
     with pytest.raises(DegreeOverflowError):
@@ -153,7 +153,8 @@ def test_product_and_inverse_identities():
 
 
 def test_inverse_requires_unit_constant_term():
-    shifted = series_from_element_list([SchurElement.zero(), s(P((1,)))], name="t")
+    terms = [SchurElement.zero(), s(P((1,)))]
+    shifted = SchurSeries(lambda d: terms[d], 1, "t")
     with pytest.raises(NotInvertibleError):
         series_inverse(shifted, 4).term(0)
 
@@ -224,3 +225,19 @@ def test_generic_tensor_product_builds_each_cutoff_once(monkeypatch):
         for mu in shapes:
             tensor_product_generic(lam, mu, t)
     assert sorted(builds) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("name", ["A", "C"])
+def test_generic_tensor_product_with_an_off_diagonal_table(name):
+    # [[lam]] = {lam / T^-1}, so [[lam]].[[mu]] read back in [[.]] is the
+    # product of the two skews, skewed by T
+    t = littlewood_series(name, 6)
+    defects = delta_double_prime(t, 6).diagonal_defects(6)
+    assert sum(left != right for (left, right), _ in defects) == 4
+    inv = series_inverse(t, 6)
+    shapes = [p for w in range(4) for p in partitions_of(w)]
+    for lam in shapes:
+        for mu in shapes:
+            product = skew_by_series(s(lam), inv) * skew_by_series(s(mu), inv)
+            got = tensor_product_generic(lam, mu, t).as_schur_element()
+            assert got == skew_by_series(product, t), (lam, mu)
