@@ -30,7 +30,10 @@ coefficients, branchings and tensor products cannot.
 adds the basis check, the brackets and the JSON "basis" field.  The ring maps
 below build their results with the trusted `_trusted(table, basis)`, under
 the contract stated in `schur_ring`: canonical keys, no zero coefficients, and
-a dict that no one else holds.
+a dict that no one else holds.  Like `schur_ring`, they read the skew and
+product tables cached in `lr` in place, read-only.  The Newell-Littlewood
+sums first add up the coefficient of each unordered pair (p, q) over every
+sigma, since s_p.s_q = s_q.s_p, and then expand each pair's product once.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ from typing import Iterable, Mapping
 
 from . import lr
 from .errors import BasisMismatchError, InvalidArgumentError
-from .partition import Partition, subpartitions
-from .schur_ring import PairTable, SchurElement, TermTable, _merge
+from .partition import Partition, get_weight_limit, subpartitions
+from .schur_ring import PairTable, SchurElement, TermTable, _add_scaled, _merge
 from .series import SchurSeries, _skew_by_terms, delta_double_prime, series_term
 
 
@@ -192,17 +195,32 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
     if basis is Basis.GL:
         return CharElement._trusted(lr.product_expansion(lam, mu), Basis.GL)
     small, big = (lam, mu) if lam.weight <= mu.weight else (mu, lam)
-    table: dict[Partition, int] = {}
+    skew = lr._skew_terms
+    pairs: dict[tuple[Partition, Partition], int] = {}
     for sigma in subpartitions(small):
         if not big.contains(sigma):
             continue
-        left = lr.skew_expansion(lam, sigma)
-        right = lr.skew_expansion(mu, sigma)
+        left = skew(lam, sigma)
+        right = skew(mu, sigma).items()
         for p, a in left.items():
-            for q, b in right.items():
-                for r, c in lr.product_expansion(p, q).items():
-                    _merge(table, r, a * b * c)
-    return CharElement._trusted(table, basis)
+            for q, b in right:
+                key = (p, q) if p <= q else (q, p)
+                pairs[key] = pairs.get(key, 0) + a * b
+    return CharElement._trusted(_expand_pairs(pairs), basis)
+
+
+def _expand_pairs(pairs: dict) -> dict[Partition, int]:
+    """sum n * s_p * s_q over {(p, q): n}, each product read once from lr's
+    cache; a zero n is skipped, but is still checked against the weight limit."""
+    limit = get_weight_limit()
+    product = lr._product_terms
+    table: dict[Partition, int] = {}
+    for (p, q), n in pairs.items():
+        if sum(p) + sum(q) > limit:
+            lr.product_expansion(p, q)  # raises the boundary's error
+        if n:
+            _add_scaled(table, product(p, q), n)
+    return table
 
 
 def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
@@ -219,20 +237,22 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
     mu = Partition(mu)
     need = lam.weight + mu.weight
     coeffs = delta_double_prime(t, min(need, t.cutoff))
-    table: dict[Partition, int] = {}
+    skew = lr._skew_terms
+    pairs: dict[tuple[Partition, Partition], int] = {}
     for (sigma, tau), b in coeffs.items():
         if sigma.weight > lam.weight or tau.weight > mu.weight:
             continue
-        left = lr.skew_expansion(lam, sigma)
+        left = skew(lam, sigma)
         if not left:
             continue
-        right = lr.skew_expansion(mu, tau)
+        right = skew(mu, tau).items()
         for p, x in left.items():
-            for q, y in right.items():
-                for r, c in lr.product_expansion(p, q).items():
-                    _merge(table, r, b * x * y * c)
+            bx = b * x
+            for q, y in right:
+                key = (p, q) if p <= q else (q, p)
+                pairs[key] = pairs.get(key, 0) + bx * y
     label = next((b for b, name in _FROM_GL.items() if name == t.name), Basis.GL)
-    return CharElement._trusted(table, label)
+    return CharElement._trusted(_expand_pairs(pairs), label)
 
 
 def char_multiply(x: CharElement, y: CharElement) -> CharElement:
@@ -253,7 +273,7 @@ def char_coproduct(x: CharElement) -> CharTensorElement:
     table: dict[tuple[Partition, Partition], int] = {}
     for lam, a in x.items():
         for zeta in subpartitions(lam):
-            left = lr.skew_expansion(lam, zeta)
+            left = lr._skew_terms(lam, zeta)
             right = convert(CharElement._trusted({zeta: 1}, Basis.GL), x.basis)
             for p, u in left.items():
                 for q, v in right.items():

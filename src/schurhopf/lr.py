@@ -7,9 +7,16 @@ Every expansion is memoized in a bounded LRU cache because series and
 character-ring work re-query the same small products constantly.  The caches
 hold finished {Partition: int} tables, built once per miss from kernel
 output that is trusted as it stands, with one shared Partition per distinct
-shape as keys; product_expansion and skew_expansion hand each caller a fresh
-dict copy, so callers may mutate what they get.  Coefficients are exact
-Python integers.
+shape as keys and no zero coefficients.  Coefficients are exact Python
+integers.
+
+product_expansion and skew_expansion are the API boundary: they validate
+both shapes, check the weight limit and hand each caller a fresh dict copy,
+so callers may mutate what they get.  The ring code in schur_ring and
+char_rings reads the cached tables in place instead, through _product_terms
+and _skew_terms, under a read-only contract: it passes only Partitions
+whose weights it has already checked against the limit, and it never
+mutates, stores or returns a table it gets from them.
 """
 
 from __future__ import annotations

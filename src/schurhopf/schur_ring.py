@@ -17,7 +17,16 @@ The public constructors validate keys and coefficients.  Ring code builds its
 results with the trusted `_trusted(table, tag)` instead, and its caller
 guarantees three things: every key is already canonical (a `Partition`, or a
 pair of them), no coefficient is zero, and no one else holds the dict.  No
-table is mutated once it is wrapped.
+table is mutated once it is wrapped, so `x * 1` and a sum with an empty table
+may hand back an operand itself.
+
+Products, skews and coproducts read the Littlewood-Richardson tables cached
+in `lr` in place (`lr._product_terms`, `lr._skew_terms`), not through the
+validating, copying `lr.product_expansion`/`skew_expansion`.  The shared
+tables are read-only: ring code only iterates them while merging into its
+own fresh dict.  It checks the weight limit once per term pair from the
+weights of the keys, and past the limit calls the public function, so the
+error raised is the one the API boundary gives.
 """
 
 from __future__ import annotations
@@ -25,7 +34,13 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import lr
-from .partition import Partition, format_partition, subpartitions, term_sort_key
+from .partition import (
+    Partition,
+    format_partition,
+    get_weight_limit,
+    subpartitions,
+    term_sort_key,
+)
 
 
 def _is_int(c) -> bool:
@@ -44,6 +59,17 @@ def _merge(table: dict, key, coeff: int) -> None:
         table[key] = new
     else:
         table.pop(key, None)
+
+
+def _add_scaled(table: dict, terms: dict, k: int) -> None:
+    """table += k * terms, dropping the keys that cancel; k != 0."""
+    get = table.get
+    for r, c in terms.items():
+        new = get(r, 0) + k * c
+        if new:
+            table[r] = new
+        else:
+            del table[r]
 
 
 class TermTable:
@@ -131,6 +157,12 @@ class TermTable:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
+        # Tables are never mutated, so an empty operand can hand back the
+        # other one, as long as the result keeps self's type.
+        if not other._terms:
+            return self
+        if not self._terms and sign == 1 and type(other) is type(self):
+            return other
         table = dict(self._terms)
         for k, c in other._terms.items():
             _merge(table, k, sign * c)
@@ -142,6 +174,8 @@ class TermTable:
     def _scaled(self, k):
         if not _is_int(k):
             return NotImplemented
+        if k == 1:
+            return self
         table = {} if k == 0 else {key: k * c for key, c in self._terms.items()}
         return self._trusted(table, self._tag)
 
@@ -225,11 +259,16 @@ class SchurElement(TermTable):
 
     def __mul__(self, other):
         if isinstance(other, SchurElement):
+            limit = get_weight_limit()
+            product = lr._product_terms
+            right = [(q, b, sum(q)) for q, b in other._terms.items()]
             table: dict[Partition, int] = {}
             for p, a in self._terms.items():
-                for q, b in other._terms.items():
-                    for r, c in lr.product_expansion(p, q).items():
-                        _merge(table, r, a * b * c)
+                wp = sum(p)
+                for q, b, wq in right:
+                    if wp + wq > limit:
+                        lr.product_expansion(p, q)  # raises the boundary's error
+                    _add_scaled(table, product(p, q), a * b)
             return SchurElement._trusted(table)
         return self._scaled(other)
 
@@ -237,13 +276,18 @@ class SchurElement(TermTable):
         """Skew by an element (the adjoint of multiplication): self / inner."""
         if not isinstance(inner, SchurElement):
             inner = SchurElement.basis(inner)
+        limit = get_weight_limit()
+        skew = lr._skew_terms
+        right = [(q, b, sum(q)) for q, b in inner._terms.items()]
         table: dict[Partition, int] = {}
         for p, a in self._terms.items():
-            for q, b in inner._terms.items():
-                if q.weight > p.weight:
+            wp = sum(p)
+            for q, b, wq in right:
+                if wq > wp:
                     continue
-                for r, c in lr.skew_expansion(p, q).items():
-                    _merge(table, r, a * b * c)
+                if wp > limit:
+                    lr.skew_expansion(p, q)  # raises the boundary's error
+                _add_scaled(table, skew(p, q), a * b)
         return SchurElement._trusted(table)
 
     def scalar_product(self, other: "SchurElement") -> int:
@@ -253,11 +297,20 @@ class SchurElement(TermTable):
         return sum(c * other._terms.get(p, 0) for p, c in self._terms.items())
 
     def coproduct(self) -> "TensorElement":
+        # subpartitions(nu) raises WeightLimitError past the limit, as
+        # lr.skew_expansion(nu, lam) would.
+        skew = lr._skew_terms
         table: dict[tuple[Partition, Partition], int] = {}
+        get = table.get
         for nu, a in self._terms.items():
             for lam in subpartitions(nu):
-                for mu, c in lr.skew_expansion(nu, lam).items():
-                    _merge(table, (lam, mu), a * c)
+                for mu, c in skew(nu, lam).items():
+                    key = (lam, mu)
+                    new = get(key, 0) + a * c
+                    if new:
+                        table[key] = new
+                    else:
+                        del table[key]
         return TensorElement._trusted(table)
 
     def counit(self) -> int:
@@ -293,14 +346,30 @@ class TensorElement(PairTable):
     def __mul__(self, other):
         """Slotwise product: (a (x) b)(c (x) d) = ac (x) bd."""
         if isinstance(other, TensorElement):
+            limit = get_weight_limit()
+            product = lr._product_terms
+            others = [(c, d, y, sum(c), sum(d)) for (c, d), y in other._terms.items()]
             table: dict[tuple[Partition, Partition], int] = {}
+            get = table.get
             for (a, b), x in self._terms.items():
-                for (c, d), y in other._terms.items():
-                    left = lr.product_expansion(a, c)
-                    right = lr.product_expansion(b, d)
-                    for p, u in left.items():
-                        for q, v in right.items():
-                            _merge(table, (p, q), x * y * u * v)
+                wa = sum(a)
+                wb = sum(b)
+                for c, d, y, wc, wd in others:
+                    if wa + wc > limit:
+                        lr.product_expansion(a, c)  # raises the boundary's error
+                    if wb + wd > limit:
+                        lr.product_expansion(b, d)
+                    right = product(b, d).items()
+                    xy = x * y
+                    for p, u in product(a, c).items():
+                        xyu = xy * u
+                        for q, v in right:
+                            key = (p, q)
+                            new = get(key, 0) + xyu * v
+                            if new:
+                                table[key] = new
+                            else:
+                                del table[key]
             return TensorElement._trusted(table)
         return self._scaled(other)
 
