@@ -19,6 +19,15 @@ i holds only labels up to i, so label i must fill row i to the outer shape:
 that row's share of the strip is forced, and a chain that cannot fill it
 dies at that label instead of at the end.  The walks go row by row and the
 labels one after another, so nothing recurses, however tall the shapes.
+
+Since c^nu_{lam,mu} = c^nu_{mu,lam}, a product or single coefficient may
+grow either factor by the other.  Each row of the content is one label
+step over every state, so the content is the factor with fewer rows, and
+on a tie the lighter one.  Measured on 972 random pairs of weight 1 to 9
+(the sum over pairs of each product's fastest of 5 runs), this costs
+0.141 s; taking the lighter factor as the content cost 0.183 s, and the
+faster direction of every pair 0.136 s.  (2^8).(10,9,8,7,6,5,4) went from
+0.08 s to 0.013 s.
 """
 
 
@@ -106,10 +115,18 @@ def _grow(lam, mu, outer):
     return {shape: count for (shape, _), count in states.items()}
 
 
+def _base_and_content(lam, mu):
+    """The factors of a product as (shape to grow, content to grow it by):
+    the content has fewer rows, or as many and less weight; on a full tie
+    the given order stands."""
+    if (len(mu), sum(mu)) > (len(lam), sum(lam)):
+        return mu, lam
+    return lam, mu
+
+
 def expand_product(lam, mu):
     """Coefficient table of s_lam * s_mu: dict mapping shape tuple -> count."""
-    if sum(mu) > sum(lam):
-        lam, mu = mu, lam  # grow the smaller content: fewer labels
+    lam, mu = _base_and_content(lam, mu)
     return _grow(lam, mu, None)
 
 
@@ -117,8 +134,7 @@ def product_coefficient(lam, mu, nu):
     """Multiplicity of s_nu in s_lam * s_mu (0 on any degree mismatch)."""
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    if sum(mu) > sum(lam):
-        lam, mu = mu, lam
+    lam, mu = _base_and_content(lam, mu)
     if not _contains(nu, lam):
         return 0
     nu = tuple(nu)

@@ -91,6 +91,8 @@ def lr_coefficient(lam, mu, nu) -> int:
     The kernel counts only the tableaux of shape nu/lam with content mu,
     instead of expanding all of s_lam * s_mu: for two staircases of weight
     15 the full product costs the pure kernel 50 to 130 times as much.
+    c^nu_{lam,mu} = c^nu_{mu,lam}, so the cache is keyed with the smaller
+    factor first and both orders share one entry.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -99,6 +101,8 @@ def lr_coefficient(lam, mu, nu) -> int:
         return 0
     if not (nu.contains(lam) and nu.contains(mu)):
         return 0
+    if mu < lam:
+        lam, mu = mu, lam
     return _coefficient(lam, mu, nu)
 
 

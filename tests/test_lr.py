@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhopf import _oracle
+from schurhopf import _lrkernel_py, _oracle
 from schurhopf import lr
 from schurhopf.errors import WeightLimitError
 from schurhopf.partition import Partition, partitions_of, partitions_up_to, set_weight_limit
+from schurhopf.schur_ring import SchurElement
 
 
 P = Partition
@@ -227,3 +228,41 @@ def test_tuple_and_partition_inputs_agree(lam, mu):
     for nu, c in prod.items():
         assert lr.lr_coefficient(tuple(lam), tuple(mu), tuple(nu)) == c
         assert lr.lr_coefficient(lam, mu, nu) == c
+
+
+def test_coefficient_cache_is_shared_by_both_orders():
+    lr.clear_caches()
+    lam, mu, nu = P((3, 1)), P((2, 2)), P((4, 3, 1))
+    assert lr.lr_coefficient(lam, mu, nu) == lr.lr_coefficient(mu, lam, nu) == 1
+    info = lr.cache_info()["coefficient"]
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_each_cache_miss_makes_one_kernel_call(monkeypatch):
+    # The benchmark's traced accounting reads kernel calls off the cache
+    # misses; a table that filled itself through another lr entry (a
+    # symmetric cache calling itself, say) would break that silently.
+    calls = {"product": 0, "skew": 0, "coefficient": 0}
+    for table, name in (
+        ("product", "expand_product"),
+        ("skew", "expand_skew"),
+        ("coefficient", "product_coefficient"),
+    ):
+        def counted(*args, table=table, kernel=getattr(_lrkernel_py, name)):
+            calls[table] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(_lrkernel_py, name, counted)
+    lr.clear_caches()
+    shapes = partitions_up_to(4)
+    for lam in shapes:
+        for mu in shapes:
+            lr.product_expansion(lam, mu)
+            lr.skew_expansion(lam, mu)
+            for nu in partitions_of(lam.weight + mu.weight):
+                lr.lr_coefficient(lam, mu, nu)
+    x = SchurElement.basis((3, 2)) + SchurElement.basis((2, 2, 1))
+    (x * x).skew(x).coproduct()
+    info = lr.cache_info()
+    assert all(calls[t] > 0 for t in calls)
+    assert calls == {t: info[t].misses for t in calls}

@@ -135,3 +135,51 @@ def test_cli_product_of_two_tall_columns(capsys):
     assert table == {(2,) * k + (1,) * (50 - 2 * k): 1 for k in range(26)}
     for nu, c in table.items():
         assert lr.lr_coefficient(col, col, nu) == c
+
+
+def test_both_growth_directions_match_the_enumerator():
+    # expand_product and product_coefficient always grow the factor with
+    # more rows, so every public call sees one direction only: check both.
+    shapes = [tuple(p) for p in partitions_up_to(5)]
+    grow = _lrkernel_py._grow
+    for lam in shapes:
+        for mu in shapes:
+            table = lr_enumerator.expand_product(lam, mu)
+            assert grow(lam, mu, None) == table, (lam, mu)
+            assert grow(mu, lam, None) == table, (mu, lam)
+            for nu in partitions_of(sum(lam) + sum(mu)):
+                nu = tuple(nu)
+                c = table.get(nu, 0)
+                for base, content in ((lam, mu), (mu, lam)):
+                    if _lrkernel_py._contains(nu, base):
+                        assert grow(base, content, nu).get(nu, 0) == c, (base, content, nu)
+                    else:
+                        assert c == 0, (base, content, nu)
+                assert _lrkernel_py.product_coefficient(lam, mu, nu) == c, (lam, mu, nu)
+                assert _lrkernel_py.product_coefficient(mu, lam, nu) == c, (mu, lam, nu)
+
+
+def test_the_content_is_the_factor_with_fewer_rows(monkeypatch):
+    # one label step per row of the content: (1^8).(8) grows 1^8 by the one
+    # row (8) in either order, and a tie on rows goes to the lighter factor
+    calls = []
+    strips = _lrkernel_py._strips
+
+    def counted(shape, *args):
+        calls.append(shape)
+        return strips(shape, *args)
+
+    monkeypatch.setattr(_lrkernel_py, "_strips", counted)
+    column, row = (1,) * 8, (8,)
+    hooks = {(9,) + (1,) * 7: 1, (8,) + (1,) * 8: 1}
+    for lam, mu in ((column, row), (row, column)):
+        calls.clear()
+        assert _lrkernel_py.expand_product(lam, mu) == hooks
+        assert calls == [column]
+        calls.clear()
+        assert _lrkernel_py.product_coefficient(lam, mu, (9,) + (1,) * 7) == 1
+        assert calls == [column]
+    for lam, mu in (((3, 3), (2, 1)), ((2, 1), (3, 3))):
+        calls.clear()
+        _lrkernel_py.expand_product(lam, mu)
+        assert calls[0] == (3, 3)
