@@ -256,25 +256,12 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
 
 
 def char_multiply(x: CharElement, y: CharElement) -> CharElement:
-    """Bilinear extension of tensor_product to whole elements: the
-    coefficients of each unordered pair (p, q) are added up first, and each
-    pair's tensor product is taken once; a pair over the weight limit still
-    raises in the order of the term pairs, even if its sum is zero."""
+    """Bilinear extension of tensor_product to whole elements."""
     x._check(y)
-    limit = get_weight_limit()
-    right = [(q, b, sum(q)) for q, b in y._terms.items()]
-    pairs: dict[tuple[Partition, Partition], int] = {}
-    for p, a in x._terms.items():
-        wp = sum(p)
-        for q, b, wq in right:
-            if wp + wq > limit:
-                tensor_product(p, q, x.basis)  # raises the ordered loop's error
-            key = (p, q) if p <= q else (q, p)
-            pairs[key] = pairs.get(key, 0) + a * b
     table: dict[Partition, int] = {}
-    for (p, q), n in pairs.items():
-        if n:
-            _add_scaled(table, tensor_product(p, q, x.basis)._terms, n)
+    for p, a in x._terms.items():
+        for q, b in y._terms.items():
+            _add_scaled(table, tensor_product(p, q, x.basis)._terms, a * b)
     return CharElement._trusted(table, x.basis)
 
 

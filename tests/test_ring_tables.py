@@ -17,7 +17,6 @@ from schurhopf.char_rings import (
     CharElement,
     char_antipode,
     char_coproduct,
-    char_multiply,
     convert,
     tensor_product,
     tensor_product_generic,
@@ -95,48 +94,6 @@ def test_grouped_generic_engine_matches_the_ordered_sum(name):
         for mu in shapes:
             got = tensor_product_generic(lam, mu, t)
             assert dict(got.items()) == generic_reference(lam, mu, t), (name, lam, mu)
-
-
-def char_multiply_reference(x, y):
-    """x.y, one tensor product per ordered pair of terms."""
-    out = {}
-    for p, a in x.items():
-        for q, b in y.items():
-            for r, c in tensor_product(p, q, x.basis).items():
-                _add(out, r, a * b * c)
-    return _nonzero(out)
-
-
-@pytest.mark.parametrize("basis", [Basis.GL, Basis.O, Basis.SP])
-def test_grouped_char_multiply_matches_the_ordered_sum(basis):
-    shapes = partitions_up_to(4)
-    for lam in shapes:
-        for mu in shapes:
-            x = CharElement(basis, {lam: 2, mu: -1, (1,): 1})
-            y = CharElement(basis, {mu: 3, (2, 1): 1})
-            for left, right in ((x, x), (x, x - y)):
-                got = char_multiply(left, right)
-                assert got.basis is basis
-                assert dict(got.items()) == char_multiply_reference(left, right), (lam, mu)
-
-
-@pytest.mark.parametrize("basis", [Basis.GL, Basis.O, Basis.SP])
-def test_grouped_char_multiply_raises_on_a_pair_that_cancels(basis):
-    # (5).(6) and (6).(5) cancel; the ordered loop raises on (5).(6), of
-    # weight 11, before it reaches (6).(6), of weight 12
-    x = CharElement(basis, {(5,): 1, (6,): 1})
-    y = CharElement(basis, {(6,): 1, (5,): -1})
-    old = get_weight_limit()
-    set_weight_limit(10)
-    try:
-        with pytest.raises(WeightLimitError) as want:
-            char_multiply_reference(x, y)
-        with pytest.raises(WeightLimitError) as got:
-            char_multiply(x, y)
-    finally:
-        set_weight_limit(old)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("product weight 11 exceeds the configured limit 10")
 
 
 # What each operation gives at weight limit 10 on elements built at the
