@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from operator import add
 
@@ -32,30 +33,25 @@ from .partition import Partition
 
 def horizontal_extensions(mu, cap):
     """All shapes nu with mu <= nu <= cap and nu/mu a horizontal strip,
-    yielded as (nu, cells added).  Interlacing form: nu_1 >= mu_1 >= nu_2..."""
+    listed as (nu, cells added).  Interlacing form: nu_1 >= mu_1 >= nu_2...
+
+    Row i ranges over mu_i..min(cap_i, mu_{i-1}) independently of the other
+    rows, so the strips are the product of those ranges, first row slowest.
+    The rows more than one below mu stay empty and are left out."""
     mu = tuple(mu)
-    cap = tuple(cap)
-    n = len(cap)
+    rows = min(len(cap), len(mu) + 1)
+    padded = mu[:rows] + (0,) * (rows - len(mu))
+    ranges = [
+        range(padded[i], min(cap[i], mu[i - 1] if i else cap[i]) + 1)
+        for i in range(rows)
+    ]
+    size = sum(mu)
     out = []
-    nu = [0] * n
-
-    def rec(i):
-        if i == n:
-            k = n
-            while k and nu[k - 1] == 0:
-                k -= 1
-            out.append((tuple(nu[:k]), sum(nu) - sum(mu)))
-            return
-        lo = mu[i] if i < len(mu) else 0
-        hi = cap[i]
-        if i:
-            hi = min(hi, mu[i - 1] if i - 1 < len(mu) else 0)
-        for v in range(lo, hi + 1):
-            nu[i] = v
-            rec(i + 1)
-        nu[i] = 0
-
-    rec(0)
+    for nu in product(*ranges):
+        k = len(nu)
+        while k and nu[k - 1] == 0:
+            k -= 1
+        out.append((nu[:k], sum(nu) - size))
     return out
 
 
@@ -241,12 +237,10 @@ def series_term_by_expansion(name: str, d: int) -> dict[Partition, int]:
     )
 
 
-def product_in_schur_basis(lam, mu, nvars: int | None = None) -> dict[Partition, int]:
+def product_in_schur_basis(lam, mu) -> dict[Partition, int]:
     """s_lam * s_mu by raw polynomial multiplication plus re-expansion."""
     lam = tuple(lam)
     mu = tuple(mu)
-    degree = sum(lam) + sum(mu)
-    if nvars is None:
-        nvars = max(degree, 1)
+    nvars = max(sum(lam) + sum(mu), 1)
     prod = poly_mul(schur_polynomial(lam, nvars), schur_polynomial(mu, nvars))
     return schur_expand_homogeneous(prod, nvars)

@@ -31,9 +31,10 @@ adds the basis check, the brackets and the JSON "basis" field.  The ring maps
 below build their results with the trusted `_trusted(table, basis)`, under
 the contract stated in `schur_ring`: canonical keys, no zero coefficients, and
 a dict that no one else holds.  Like `schur_ring`, they read the skew and
-product tables cached in `lr` in place, read-only.  The Newell-Littlewood
-sums first add up the coefficient of each unordered pair (p, q) over every
-sigma, since s_p.s_q = s_q.s_p, and then expand each pair's product once.
+product tables cached in `lr` in place, read-only.  Both tensor products
+are one Newell-Littlewood contraction, `_contract`: it adds up the
+coefficient of each unordered pair (p, q) over every sigma, since
+s_p.s_q = s_q.s_p, and then expands each pair's product once.
 """
 
 from __future__ import annotations
@@ -195,29 +196,34 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
     if basis is Basis.GL:
         return CharElement._trusted(lr.product_expansion(lam, mu), Basis.GL)
     small, big = (lam, mu) if lam.weight <= mu.weight else (mu, lam)
+    sigmas = [(sigma, sigma, 1) for sigma in subpartitions(small) if big.contains(sigma)]
+    return CharElement._trusted(_contract(lam, mu, sigmas), basis)
+
+
+def _contract(lam: Partition, mu: Partition, terms: list) -> dict[Partition, int]:
+    """sum b * (lam/sigma).(mu/tau) over the (sigma, tau, b) of terms, in the
+    Schur basis; every sigma fits inside lam and every tau inside mu.
+
+    Every pair (p, q) from one triple weighs |lam| + |mu| - |sigma| - |tau|,
+    so the first triple whose pairs pass the weight limit raises lr's
+    product-weight error before any skew runs."""
+    total = lam.weight + mu.weight
+    if total > get_weight_limit():
+        for sigma, tau, _ in terms:
+            lr._check_result_weight(total - sigma.weight - tau.weight)
     skew = lr._skew_terms
     pairs: dict[tuple[Partition, Partition], int] = {}
-    for sigma in subpartitions(small):
-        if not big.contains(sigma):
-            continue
-        left = skew(lam, sigma)
-        right = skew(mu, sigma).items()
-        for p, a in left.items():
-            for q, b in right:
+    for sigma, tau, b in terms:
+        left = skew(lam, sigma).items()
+        right = skew(mu, tau).items()
+        for p, x in left:
+            bx = b * x
+            for q, y in right:
                 key = (p, q) if p <= q else (q, p)
-                pairs[key] = pairs.get(key, 0) + a * b
-    return CharElement._trusted(_expand_pairs(pairs), basis)
-
-
-def _expand_pairs(pairs: dict) -> dict[Partition, int]:
-    """sum n * s_p * s_q over {(p, q): n}, each product read once from lr's
-    cache; a zero n is skipped, but is still checked against the weight limit."""
-    limit = get_weight_limit()
+                pairs[key] = pairs.get(key, 0) + bx * y
     product = lr._product_terms
     table: dict[Partition, int] = {}
     for (p, q), n in pairs.items():
-        if sum(p) + sum(q) > limit:
-            lr.product_expansion(p, q)  # raises the boundary's error
         if n:
             _add_scaled(table, product(p, q), n)
     return table
@@ -237,22 +243,13 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
     mu = Partition(mu)
     need = lam.weight + mu.weight
     coeffs = delta_double_prime(t, min(need, t.cutoff))
-    skew = lr._skew_terms
-    pairs: dict[tuple[Partition, Partition], int] = {}
-    for (sigma, tau), b in coeffs.items():
-        if sigma.weight > lam.weight or tau.weight > mu.weight:
-            continue
-        left = skew(lam, sigma)
-        if not left:
-            continue
-        right = skew(mu, tau).items()
-        for p, x in left.items():
-            bx = b * x
-            for q, y in right:
-                key = (p, q) if p <= q else (q, p)
-                pairs[key] = pairs.get(key, 0) + bx * y
+    triples = [
+        (sigma, tau, b)
+        for (sigma, tau), b in coeffs.items()
+        if lam.contains(sigma) and mu.contains(tau)
+    ]
     label = next((b for b, name in _FROM_GL.items() if name == t.name), Basis.GL)
-    return CharElement._trusted(_expand_pairs(pairs), label)
+    return CharElement._trusted(_contract(lam, mu, triples), label)
 
 
 def char_multiply(x: CharElement, y: CharElement) -> CharElement:

@@ -10,13 +10,19 @@ output that is trusted as it stands, with one shared Partition per distinct
 shape as keys and no zero coefficients.  Coefficients are exact Python
 integers.
 
+The weight limit is checked where a table is computed: on a miss, before
+the kernel runs, a factor or outer shape over the limit raises the API
+boundary's "partition weight" error and a product over it "product weight".
+set_weight_limit empties the caches, so every hit was computed under the
+current limit.  A miss that raises still counts as a miss in cache_info.
+
 product_expansion and skew_expansion are the API boundary: they validate
-both shapes, check the weight limit and hand each caller a fresh dict copy,
-so callers may mutate what they get.  The ring code in schur_ring and
-char_rings reads the cached tables in place instead, through _product_terms
-and _skew_terms, under a read-only contract: it passes only Partitions
-whose weights it has already checked against the limit, and it never
-mutates, stores or returns a table it gets from them.
+both shapes and hand each caller a fresh dict copy, so callers may mutate
+what they get.  The ring code in schur_ring and char_rings reads the cached
+tables in place instead, through _product_terms and _skew_terms, under a
+read-only contract: it passes only Partitions, never a skew's inner shape
+heavier than its outer one (so the outer one's check covers both), and it
+never mutates, stores or returns a table it gets from them.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import lru_cache
 
 from . import _lrkernel_py as _kernel
 from .errors import WeightLimitError
-from .partition import Partition, _unchecked, get_weight_limit
+from .partition import Partition, _unchecked, get_weight_limit, on_weight_limit_change
 
 _CACHE_SIZE = 1 << 17
 
@@ -48,6 +54,12 @@ def _finished(table: dict) -> dict[Partition, int]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _product_terms(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    total = sum(lam) + sum(mu)
+    if total > get_weight_limit():
+        # Partition() re-validates a shape over the limit and raises
+        Partition(lam)
+        Partition(mu)
+        _check_result_weight(total)
     return _finished(_kernel.expand_product(lam, mu))
 
 
@@ -58,6 +70,8 @@ def _coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _skew_terms(outer: Partition, inner: Partition) -> dict[Partition, int]:
+    if sum(outer) > get_weight_limit():
+        Partition(outer)
     return _finished(_kernel.expand_skew(outer, inner))
 
 
@@ -74,7 +88,6 @@ def product_expansion(lam, mu) -> dict[Partition, int]:
     """Coefficient table of s_lam * s_mu as {Partition: int}."""
     lam = Partition(lam)
     mu = Partition(mu)
-    _check_result_weight(lam.weight + mu.weight)
     return dict(_product_terms(lam, mu))
 
 
@@ -133,3 +146,6 @@ def clear_caches() -> None:
     _skew_terms.cache_clear()
     _coefficient.cache_clear()
     _shape.cache_clear()
+
+
+on_weight_limit_change(clear_caches)

@@ -25,6 +25,7 @@ from .errors import PartitionError, WeightLimitError
 DEFAULT_WEIGHT_LIMIT = 64
 
 _weight_limit = DEFAULT_WEIGHT_LIMIT
+_limit_hooks: tuple = ()
 
 
 def get_weight_limit() -> int:
@@ -38,6 +39,15 @@ def set_weight_limit(limit: int) -> None:
     if limit < 0:
         raise ValueError("weight limit must be nonnegative")
     _weight_limit = limit
+    for hook in _limit_hooks:
+        hook()
+
+
+def on_weight_limit_change(hook) -> None:
+    """Call hook() after every set_weight_limit.  lr empties its caches this
+    way, so it never serves a table computed under another limit."""
+    global _limit_hooks
+    _limit_hooks += (hook,)
 
 
 class Partition(tuple):

@@ -24,9 +24,8 @@ Products, skews and coproducts read the Littlewood-Richardson tables cached
 in `lr` in place (`lr._product_terms`, `lr._skew_terms`), not through the
 validating, copying `lr.product_expansion`/`skew_expansion`.  The shared
 tables are read-only: ring code only iterates them while merging into its
-own fresh dict.  It checks the weight limit once per term pair from the
-weights of the keys, and past the limit calls the public function, so the
-error raised is the one the API boundary gives.
+own fresh dict.  `lr` checks the weight limit where it computes a table, so
+a term pair past the limit raises the API boundary's error from there.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from . import lr
 from .partition import (
     Partition,
     format_partition,
-    get_weight_limit,
     subpartitions,
     term_sort_key,
 )
@@ -259,15 +257,10 @@ class SchurElement(TermTable):
 
     def __mul__(self, other):
         if isinstance(other, SchurElement):
-            limit = get_weight_limit()
             product = lr._product_terms
-            right = [(q, b, sum(q)) for q, b in other._terms.items()]
             table: dict[Partition, int] = {}
             for p, a in self._terms.items():
-                wp = sum(p)
-                for q, b, wq in right:
-                    if wp + wq > limit:
-                        lr.product_expansion(p, q)  # raises the boundary's error
+                for q, b in other._terms.items():
                     _add_scaled(table, product(p, q), a * b)
             return SchurElement._trusted(table)
         return self._scaled(other)
@@ -276,18 +269,14 @@ class SchurElement(TermTable):
         """Skew by an element (the adjoint of multiplication): self / inner."""
         if not isinstance(inner, SchurElement):
             inner = SchurElement.basis(inner)
-        limit = get_weight_limit()
         skew = lr._skew_terms
         right = [(q, b, sum(q)) for q, b in inner._terms.items()]
         table: dict[Partition, int] = {}
         for p, a in self._terms.items():
             wp = sum(p)
             for q, b, wq in right:
-                if wq > wp:
-                    continue
-                if wp > limit:
-                    lr.skew_expansion(p, q)  # raises the boundary's error
-                _add_scaled(table, skew(p, q), a * b)
+                if wq <= wp:
+                    _add_scaled(table, skew(p, q), a * b)
         return SchurElement._trusted(table)
 
     def scalar_product(self, other: "SchurElement") -> int:
@@ -346,22 +335,15 @@ class TensorElement(PairTable):
     def __mul__(self, other):
         """Slotwise product: (a (x) b)(c (x) d) = ac (x) bd."""
         if isinstance(other, TensorElement):
-            limit = get_weight_limit()
             product = lr._product_terms
-            others = [(c, d, y, sum(c), sum(d)) for (c, d), y in other._terms.items()]
             table: dict[tuple[Partition, Partition], int] = {}
             get = table.get
             for (a, b), x in self._terms.items():
-                wa = sum(a)
-                wb = sum(b)
-                for c, d, y, wc, wd in others:
-                    if wa + wc > limit:
-                        lr.product_expansion(a, c)  # raises the boundary's error
-                    if wb + wd > limit:
-                        lr.product_expansion(b, d)
+                for (c, d), y in other._terms.items():
+                    left = product(a, c).items()
                     right = product(b, d).items()
                     xy = x * y
-                    for p, u in product(a, c).items():
+                    for p, u in left:
                         xyu = xy * u
                         for q, v in right:
                             key = (p, q)

@@ -61,12 +61,6 @@ def _cap(default: int, max_degree: int | None) -> int:
     return default if max_degree is None else min(default, max_degree)
 
 
-def _basis_elements(bound: int):
-    for d in range(bound + 1):
-        for p in partitions_of(d):
-            yield p
-
-
 # -- golden tables ----------------------------------------------------------
 
 _BRANCHING_GOLDENS = [
@@ -128,8 +122,8 @@ def check_tensor_goldens() -> CheckResult:
 
 def check_osp_coincidence(bound: int = 5) -> CheckResult:
     name = f"O/Sp tensor coefficient coincidence (weights <= {bound})"
-    for lam in _basis_elements(bound):
-        for mu in _basis_elements(bound):
+    for lam in partitions_up_to(bound):
+        for mu in partitions_up_to(bound):
             o = tensor_product(lam, mu, Basis.O)
             sp = tensor_product(lam, mu, Basis.SP)
             if dict(o.items()) != dict(sp.items()):
@@ -140,7 +134,7 @@ def check_osp_coincidence(bound: int = 5) -> CheckResult:
 def check_conversion_round_trips(bound: int = 6) -> CheckResult:
     name = f"conversion round-trips, all basis pairs (weight <= {bound})"
     pairs = [(a, b) for a in Basis for b in Basis if a is not b]
-    for p in _basis_elements(bound):
+    for p in partitions_up_to(bound):
         for a, b in pairs:
             x = CharElement.basis_element(a, p)
             back = convert(convert(x, b), a)
@@ -151,7 +145,7 @@ def check_conversion_round_trips(bound: int = 6) -> CheckResult:
 
 def check_branch_convert_consistency(bound: int = 6) -> CheckResult:
     name = f"branch agrees with convert (weight <= {bound})"
-    for p in _basis_elements(bound):
+    for p in partitions_up_to(bound):
         gl = CharElement.basis_element(Basis.GL, p)
         if char_rings.branch_gl_to_o(p) != convert(gl, Basis.O):
             return CheckResult(name, False, f"O branch of {p}")
@@ -164,8 +158,8 @@ def check_sigma_bound(bound: int = 5) -> CheckResult:
     """The tensor-product sum truncates sigma at the smaller weight; check
     directly that every heavier sigma kills one of the two skews."""
     name = f"sigma sums bounded by min weight (weights <= {bound})"
-    for lam in _basis_elements(bound):
-        for mu in _basis_elements(bound):
+    for lam in partitions_up_to(bound):
+        for mu in partitions_up_to(bound):
             small = min(lam.weight, mu.weight)
             big = max(lam.weight, mu.weight)
             for w in range(small + 1, big + 1):
@@ -182,8 +176,8 @@ def check_sigma_bound(bound: int = 5) -> CheckResult:
 def check_tensor_commutativity(bound: int = 5) -> CheckResult:
     name = f"tensor products commute in every basis (weights <= {bound})"
     for basis in Basis:
-        for lam in _basis_elements(bound):
-            for mu in _basis_elements(bound):
+        for lam in partitions_up_to(bound):
+            for mu in partitions_up_to(bound):
                 if tensor_product(lam, mu, basis) != tensor_product(mu, lam, basis):
                     return CheckResult(
                         name, False, f"{basis.value}: lambda={lam}, mu={mu}"
@@ -196,8 +190,8 @@ def check_generic_engine(bound: int = 4) -> CheckResult:
     d = littlewood_series("D", 2 * bound)
     b = littlewood_series("B", 2 * bound)
     u = unit_series(2 * bound)
-    for lam in _basis_elements(bound):
-        for mu in _basis_elements(bound):
+    for lam in partitions_up_to(bound):
+        for mu in partitions_up_to(bound):
             if tensor_product_generic(lam, mu, d) != tensor_product(lam, mu, Basis.O):
                 return CheckResult(name, False, f"T=D: lambda={lam}, mu={mu}")
             if tensor_product_generic(lam, mu, b) != tensor_product(lam, mu, Basis.SP):
@@ -317,7 +311,7 @@ def suite_series(max_degree: int | None = None) -> list[CheckResult]:
 
 def check_symm_duality(bound: int = 7) -> CheckResult:
     name = f"product/skew/coproduct duality (weight <= {bound})"
-    for nu in _basis_elements(bound):
+    for nu in partitions_up_to(bound):
         cop = SchurElement.basis(nu).coproduct()
         table = dict(cop.items())
         seen = {}
@@ -337,7 +331,7 @@ def check_symm_duality(bound: int = 7) -> CheckResult:
 
 def check_schur_identity(bound: int = 8) -> CheckResult:
     name = f"alternating skew identity collapses (weight <= {bound})"
-    for nu in _basis_elements(bound):
+    for nu in partitions_up_to(bound):
         total = SchurElement.zero()
         base = SchurElement.basis(nu)
         for mu in subpartitions(nu):
@@ -351,7 +345,7 @@ def check_schur_identity(bound: int = 8) -> CheckResult:
 
 def check_symm_antipode(bound: int = 7) -> CheckResult:
     name = f"antipode identity, both sides (weight <= {bound})"
-    for p in _basis_elements(bound):
+    for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
         expect = SchurElement.one() if p.weight == 0 else SchurElement.zero()
         left = SchurElement.zero()
@@ -366,7 +360,7 @@ def check_symm_antipode(bound: int = 7) -> CheckResult:
 
 def check_symm_counitarity(bound: int = 8) -> CheckResult:
     name = f"counit is a two-sided counit (weight <= {bound})"
-    for p in _basis_elements(bound):
+    for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
         left = SchurElement.zero()
         right = SchurElement.zero()
@@ -390,7 +384,7 @@ def _triple_table(x: SchurElement, first: bool) -> dict:
 
 def check_coassociativity(bound: int = 6) -> CheckResult:
     name = f"coproduct is coassociative and cocommutative (weight <= {bound})"
-    for p in _basis_elements(bound):
+    for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
         if _triple_table(x, True) != _triple_table(x, False):
             return CheckResult(name, False, f"basis element {p}")
@@ -477,7 +471,7 @@ def check_skew_of_product(bound: int = 6) -> CheckResult:
 def check_char_counitarity(bound: int = 5) -> CheckResult:
     name = f"character counit is two-sided (weight <= {bound})"
     for basis in (Basis.O, Basis.SP):
-        for p in _basis_elements(bound):
+        for p in partitions_up_to(bound):
             x = CharElement.basis_element(basis, p)
             left = CharElement(basis, {})
             right = CharElement(basis, {})
@@ -495,7 +489,7 @@ def check_char_antipode(bound: int = 5) -> CheckResult:
     name = f"character antipode identity, both sides (weight <= {bound})"
     for basis in (Basis.O, Basis.SP):
         unit = CharElement.basis_element(basis, Partition(()))
-        for p in _basis_elements(bound):
+        for p in partitions_up_to(bound):
             x = CharElement.basis_element(basis, p)
             expect = unit * char_counit(x)
             left = CharElement(basis, {})

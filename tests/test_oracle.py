@@ -88,6 +88,18 @@ def test_expansion_refuses_a_non_symmetric_polynomial():
     assert _oracle.schur_expand_homogeneous(prod, 3) == {(3,): 1, (2, 1): 1}
 
 
+def test_horizontal_extensions_of_a_tall_shape():
+    # one range per row of the cap, with no recursion per row
+    mu = (1,) * 1499
+    got = _oracle.horizontal_extensions(mu, (2,) * 1500)
+    assert got == [
+        (mu, 0),
+        (mu + (1,), 1),
+        ((2,) + mu[1:], 1),
+        ((2,) + mu, 2),
+    ]
+
+
 def _package_imports(module: str) -> set[str]:
     """Package modules that `module` imports, directly or through others.
     The package imports its own modules only in relative form."""

@@ -175,9 +175,16 @@ def _lowered_limit_cases():
 def test_weight_limit_errors_survive_the_in_place_path():
     cases = _lowered_limit_cases()
     assert set(cases) == set(LOWERED_LIMIT_OUTCOMES)
+    # Every table the cases read is cached at the default limit first, so a
+    # table computed under the old limit would be served if set_weight_limit
+    # left the caches full.
+    for run in cases.values():
+        run()
     old = get_weight_limit()
     set_weight_limit(10)
     try:
+        info = lr.cache_info()
+        assert all(v.currsize == v.hits == v.misses == 0 for v in info.values())
         for label, run in cases.items():
             expected = LOWERED_LIMIT_OUTCOMES[label]
             if expected is None:
@@ -188,6 +195,30 @@ def test_weight_limit_errors_survive_the_in_place_path():
             assert str(err.value) == expected, label
     finally:
         set_weight_limit(old)
+
+
+@pytest.mark.parametrize("basis", [Basis.O, Basis.SP])
+def test_over_limit_tensor_products_raise_before_any_skew(basis, monkeypatch):
+    calls = []
+    expand_skew = _lrkernel_py.expand_skew
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return expand_skew(outer, inner)
+
+    monkeypatch.setattr(_lrkernel_py, "expand_skew", counted)
+    old = get_weight_limit()
+    set_weight_limit(10)
+    try:
+        with pytest.raises(WeightLimitError) as err:
+            tensor_product(P((4, 3)), P((4, 3)), basis)
+    finally:
+        set_weight_limit(old)
+    assert str(err.value) == PRODUCT_12
+    assert calls == []
+    # the same count sees the skews of a product within the limit
+    tensor_product(P((2, 1)), P((2, 1)), basis)
+    assert calls
 
 
 def test_shared_tables_stay_intact():
