@@ -8,13 +8,18 @@ character-ring work re-query the same small products constantly.  The caches
 hold finished {Partition: int} tables, built once per miss from kernel
 output that is trusted as it stands, with one shared Partition per distinct
 shape as keys and no zero coefficients.  Coefficients are exact Python
-integers.
+integers.  The ring is commutative, so products and single coefficients are
+cached per unordered pair of factors: both keys put the smaller factor first,
+as `cached(mu, lam) if mu < lam else cached(lam, mu)` (inline, since a helper
+would add a Python call to every cache hit), and both argument orders share
+one entry and one kernel call.
 
 The weight limit is checked where a table is computed: on a miss, before
 the kernel runs, a factor or outer shape over the limit raises the API
-boundary's "partition weight" error and a product over it "product weight".
-set_weight_limit empties the caches, so every hit was computed under the
-current limit.  A miss that raises still counts as a miss in cache_info.
+boundary's "partition weight" error and a product over it "product weight",
+naming the factors in argument order.  set_weight_limit empties the caches,
+so every hit was computed under the current limit.  A miss that raises still
+counts as a miss in cache_info.
 
 product_expansion and skew_expansion are the API boundary: they validate
 both shapes and hand each caller a fresh dict copy, so callers may mutate
@@ -22,7 +27,9 @@ what they get.  The ring code in schur_ring and char_rings reads the cached
 tables in place instead, through _product_terms and _skew_terms, under a
 read-only contract: it passes only Partitions, never a skew's inner shape
 heavier than its outer one (so the outer one's check covers both), and it
-never mutates, stores or returns a table it gets from them.
+never mutates, stores or returns a table it gets from them.  Ring code that
+already holds a pair smaller factor first, within the weight limit, may read
+_product itself.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def kernel_name() -> str:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _shape(parts: tuple) -> Partition:
     # The tables repeat a few shapes over and over: one pass of the
-    # benchmark's lr_cold workload builds 26,094 keys of 551 distinct shapes.
+    # benchmark's lr_cold workload builds 15,944 keys of 551 distinct shapes.
     return _unchecked(parts)
 
 
@@ -52,14 +59,21 @@ def _finished(table: dict) -> dict[Partition, int]:
     return {_shape(k): v for k, v in table.items()}
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _product_terms(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    total = sum(lam) + sum(mu)
-    if total > get_weight_limit():
-        # Partition() re-validates a shape over the limit and raises
-        Partition(lam)
-        Partition(mu)
-        _check_result_weight(total)
+    try:
+        return _product(mu, lam) if mu < lam else _product(lam, mu)
+    except WeightLimitError as err:
+        error = err
+    # Partition() re-validates a shape over the limit and raises, so a factor
+    # over it is named in argument order, before the total.
+    Partition(lam)
+    Partition(mu)
+    raise error
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _product(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    _check_result_weight(sum(lam) + sum(mu))
     return _finished(_kernel.expand_product(lam, mu))
 
 
@@ -104,8 +118,7 @@ def lr_coefficient(lam, mu, nu) -> int:
     The kernel counts only the tableaux of shape nu/lam with content mu,
     instead of expanding all of s_lam * s_mu: for two staircases of weight
     15 the full product costs the pure kernel 50 to 130 times as much.
-    c^nu_{lam,mu} = c^nu_{mu,lam}, so the cache is keyed with the smaller
-    factor first and both orders share one entry.
+    c^nu_{lam,mu} = c^nu_{mu,lam}, so both orders share one cache entry.
     """
     lam = Partition(lam)
     mu = Partition(mu)
@@ -114,9 +127,7 @@ def lr_coefficient(lam, mu, nu) -> int:
         return 0
     if not (nu.contains(lam) and nu.contains(mu)):
         return 0
-    if mu < lam:
-        lam, mu = mu, lam
-    return _coefficient(lam, mu, nu)
+    return _coefficient(mu, lam, nu) if mu < lam else _coefficient(lam, mu, nu)
 
 
 def lr_expand_product(lam, mu):
@@ -135,14 +146,14 @@ def lr_expand_skew(outer, inner):
 
 def cache_info():
     return {
-        "product": _product_terms.cache_info(),
+        "product": _product.cache_info(),
         "skew": _skew_terms.cache_info(),
         "coefficient": _coefficient.cache_info(),
     }
 
 
 def clear_caches() -> None:
-    _product_terms.cache_clear()
+    _product.cache_clear()
     _skew_terms.cache_clear()
     _coefficient.cache_clear()
     _shape.cache_clear()

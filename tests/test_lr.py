@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lr_enumerator
 from schurhopf import _lrkernel_py, _oracle
 from schurhopf import lr
 from schurhopf.errors import WeightLimitError
@@ -236,6 +237,41 @@ def test_coefficient_cache_is_shared_by_both_orders():
     assert lr.lr_coefficient(lam, mu, nu) == lr.lr_coefficient(mu, lam, nu) == 1
     info = lr.cache_info()["coefficient"]
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_product_cache_is_shared_by_both_orders():
+    a, b = P((3, 1)), P((2, 2))
+    lr.clear_caches()
+    ab = lr.product_expansion(a, b)
+    ba = lr.product_expansion(b, a)
+    info = lr.cache_info()["product"]
+    assert (info.misses, info.hits) == (1, 1)
+    # each call still hands back its own copy of the shared table
+    expect = dict(ab)
+    assert ba == expect and ba is not ab
+    ab[P((9,))] = 7
+    ba.clear()
+    assert lr.product_expansion(a, b) == lr.product_expansion(b, a) == expect
+    lr.clear_caches()
+    x, y = SchurElement.basis(a), SchurElement.basis(b)
+    assert dict((x * y).items()) == dict((y * x).items()) == expect
+    info = lr.cache_info()["product"]
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_both_product_orders_match_the_enumerator():
+    # Each order is read from the entry the opposite order filled, so this
+    # referees the shared table in the direction it is asked for.
+    shapes = partitions_up_to(5)
+    lr.clear_caches()
+    for lam in shapes:
+        for mu in shapes:
+            lr.product_expansion(mu, lam)
+            assert lr.product_expansion(lam, mu) == lr_enumerator.expand_product(lam, mu), (
+                lam, mu)
+    info = lr.cache_info()["product"]
+    assert info.misses == len(shapes) * (len(shapes) + 1) // 2
+    assert info.hits == 2 * len(shapes) ** 2 - info.misses
 
 
 def test_each_cache_miss_makes_one_kernel_call(monkeypatch):

@@ -104,6 +104,7 @@ PRODUCT_12 = (
     "raise it with partition.set_weight_limit if this is intentional"
 )
 PARTITION_12 = "partition weight 12 exceeds the limit 10"
+PARTITION_11 = "partition weight 11 exceeds the limit 10"
 LOWERED_LIMIT_OUTCOMES = {
     "schur * unit, weight 12": PARTITION_12,
     "schur * schur, weight 6 + 6": PRODUCT_12,
@@ -127,11 +128,16 @@ LOWERED_LIMIT_OUTCOMES = {
     "generic A, 33 x 33": PRODUCT_12,
     "generic unit, 33 x 33": PRODUCT_12,
     "generic A, 32 x 32": None,
+    # Both factors over the limit: the first operand is named, in either
+    # order, though both orders share one cached product.
+    "schur * schur, weights 12 and 11": PARTITION_12,
+    "schur * schur, weights 11 and 12": PARTITION_11,
 }
 
 
 def _lowered_limit_cases():
     big, six, four = s((6, 6)), s((3, 3)), s((2, 2))
+    twelve, eleven = s((12,)), s((11,))
     two_terms = s((6, 6)) + s((1, 1))
     heavier = s((7, 6))
     left_six = TensorElement.pure(six, s((1,)))
@@ -143,6 +149,8 @@ def _lowered_limit_cases():
         "schur * unit, weight 12": lambda: big * SchurElement.one(),
         "schur * schur, weight 6 + 6": lambda: six * six,
         "schur * schur, weight 6 + 4": lambda: six * four,
+        "schur * schur, weights 12 and 11": lambda: twelve * eleven,
+        "schur * schur, weights 11 and 12": lambda: eleven * twelve,
         "zero * schur, weight 12": lambda: SchurElement.zero() * big,
         "schur / empty, weight 12": lambda: big.skew(SchurElement.one()),
         "schur / heavier, weight 12": lambda: big.skew(heavier),
