@@ -221,9 +221,7 @@ def _contract(lam: Partition, mu: Partition, terms: list) -> dict[Partition, int
             for q, y in right:
                 key = (p, q) if p <= q else (q, p)
                 pairs[key] = pairs.get(key, 0) + bx * y
-    # The pairs are keyed smaller factor first, as lr keys its product cache,
-    # and lie within the limit by the check above: read that cache directly.
-    product = lr._product
+    product = lr._product_terms
     table: dict[Partition, int] = {}
     for (p, q), n in pairs.items():
         if n:

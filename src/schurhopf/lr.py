@@ -27,9 +27,7 @@ what they get.  The ring code in schur_ring and char_rings reads the cached
 tables in place instead, through _product_terms and _skew_terms, under a
 read-only contract: it passes only Partitions, never a skew's inner shape
 heavier than its outer one (so the outer one's check covers both), and it
-never mutates, stores or returns a table it gets from them.  Ring code that
-already holds a pair smaller factor first, within the weight limit, may read
-_product itself.
+never mutates, stores or returns a table it gets from them.
 """
 
 from __future__ import annotations
