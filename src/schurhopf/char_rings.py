@@ -35,16 +35,37 @@ product tables cached in `lr` in place, read-only.  Both tensor products
 are one Newell-Littlewood contraction, `_contract`: it adds up the
 coefficient of each unordered pair (p, q) over every sigma, since
 s_p.s_q = s_q.s_p, and then expands each pair's product once.
+
+The structure constants of CharO and CharSp and the change-of-basis tables
+do not depend on n, just as the LR coefficients do not, so they are cached
+here the way `lr` caches its tables, in bounded LRU caches of `lr`'s size:
+`_newell_littlewood(lam, mu)` holds [lam].[mu] per ordered pair, one table
+that O and Sp share, and `_conversion(source, lam, to)` holds the basis
+character lam of `source` rewritten in `to`.  `convert` adds c times that
+table over the terms c.lam of its argument; the antipode, the branchings and
+the right slot of the coproduct all convert through it.  A cached table is
+never wrapped: `tensor_product` hands out a `dict()` copy, so each element
+still holds a dict that no one else does.  set_weight_limit empties both
+caches (`clear_caches`), so no table computed under another limit is
+served.  `tensor_product_generic` is not cached, so the verify suite's
+generic-engine check compares two independent computations.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import lr
 from .errors import BasisMismatchError, InvalidArgumentError
-from .partition import Partition, get_weight_limit, subpartitions
+from .partition import (
+    Partition,
+    _unchecked,
+    get_weight_limit,
+    on_weight_limit_change,
+    subpartitions,
+)
 from .schur_ring import PairTable, SchurElement, TermTable, _add_scaled, _merge
 from .series import SchurSeries, _skew_by_terms, delta_double_prime, series_term
 
@@ -128,8 +149,8 @@ class CharElement(BasisTagged, TermTable):
     def as_schur_element(self) -> SchurElement:
         """Forget the basis label and read the table as Schur coefficients.
 
-        Only honest for GL elements; conversions read it before skewing by
-        the series that leads to GL.
+        Only honest for GL elements; the antipode reads it before it
+        conjugates.
         """
         return SchurElement._trusted(dict(self._terms))
 
@@ -165,12 +186,23 @@ def _skew(x: SchurElement, name: str | None) -> SchurElement:
 
 
 def convert(x: CharElement, to: Basis | str) -> CharElement:
-    """Rewrite x in another basis of the same underlying ring, through GL."""
+    """Rewrite x in another basis of the same underlying ring, through GL;
+    x itself if it is already written in that basis."""
     to = to if isinstance(to, Basis) else Basis.parse(to)
-    y = x.as_schur_element()
-    if to is not x.basis:
-        y = _skew(_skew(y, _TO_GL.get(x.basis)), _FROM_GL.get(to))
-    return CharElement._trusted(y._terms, to)
+    if to is x.basis:
+        return x
+    table: dict[Partition, int] = {}
+    for p, c in x._terms.items():
+        _add_scaled(table, _conversion(x.basis, p, to), c)
+    return CharElement._trusted(table, to)
+
+
+@lru_cache(maxsize=lr._CACHE_SIZE)
+def _conversion(source: Basis, lam: Partition, to: Basis) -> dict[Partition, int]:
+    """The basis character lam of `source`, rewritten in `to`: {lam} skewed
+    by the series out of source, then by the one into to."""
+    y = SchurElement._trusted({lam: 1})
+    return _skew(_skew(y, _TO_GL.get(source)), _FROM_GL.get(to))._terms
 
 
 def branch_gl_to_o(lam) -> CharElement:
@@ -195,9 +227,15 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
     mu = Partition(mu)
     if basis is Basis.GL:
         return CharElement._trusted(lr.product_expansion(lam, mu), Basis.GL)
-    small, big = (lam, mu) if lam.weight <= mu.weight else (mu, lam)
-    sigmas = [(sigma, sigma, 1) for sigma in subpartitions(small) if big.contains(sigma)]
-    return CharElement._trusted(_contract(lam, mu, sigmas), basis)
+    return CharElement._trusted(dict(_newell_littlewood(lam, mu)), basis)
+
+
+@lru_cache(maxsize=lr._CACHE_SIZE)
+def _newell_littlewood(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """[lam].[mu] in O, which is also <lam>.<mu> in Sp: the contraction over
+    every sigma inside both factors, i.e. inside their row-wise meet."""
+    meet = _unchecked(tuple(map(min, lam, mu)))
+    return _contract(lam, mu, [(sigma, sigma, 1) for sigma in subpartitions(meet)])
 
 
 def _contract(lam: Partition, mu: Partition, terms: list) -> dict[Partition, int]:
@@ -294,3 +332,18 @@ def char_antipode(x: CharElement) -> CharElement:
     partner basis (O and Sp swap, GL stays) and rewrite it in x's basis."""
     conj = x.as_schur_element().antipode()
     return convert(CharElement._trusted(conj._terms, _PARTNER[x.basis]), x.basis)
+
+
+def cache_info():
+    return {
+        "tensor": _newell_littlewood.cache_info(),
+        "convert": _conversion.cache_info(),
+    }
+
+
+def clear_caches() -> None:
+    _newell_littlewood.cache_clear()
+    _conversion.cache_clear()
+
+
+on_weight_limit_change(clear_caches)

@@ -6,7 +6,8 @@ the built-in verification suites (verify).  Output is deterministic text by
 default; --format json emits the documented coefficient-table schemas.
 
 Exit codes: 0 success, 2 parse error, 3 degree overflow, 4 basis misuse,
-5 verification failure.
+5 verification failure.  Code 4 is reserved for the library's
+BasisMismatchError: no command combines two elements, so none reaches it.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ class ValueParseError(SchurHopfError, ValueError):
 
 
 class InvalidArgumentError(SchurHopfError, ValueError):
-    """A well-formed argument outside its domain: an unknown basis name,
-    eigenvalues that do not fit the group, a negative series cutoff, or
-    eigenvalues whose character value has too many digits to print."""
+    """A well-formed argument outside its domain: an unknown basis or series
+    name, eigenvalues that do not fit the group, a negative series cutoff or
+    degree, or eigenvalues whose character value has too many digits to
+    print."""
 
 
 class DegreeOverflowError(SchurHopfError):

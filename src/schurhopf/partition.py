@@ -44,8 +44,9 @@ def set_weight_limit(limit: int) -> None:
 
 
 def on_weight_limit_change(hook) -> None:
-    """Call hook() after every set_weight_limit.  lr empties its caches this
-    way, so it never serves a table computed under another limit."""
+    """Call hook() after every set_weight_limit.  lr, series and char_rings
+    empty their caches this way, so none serves a table computed under
+    another limit."""
     global _limit_hooks
     _limit_hooks += (hook,)
 

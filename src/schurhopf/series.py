@@ -24,6 +24,7 @@ from .partition import (
     Partition,
     distinct_partitions_of,
     get_weight_limit,
+    on_weight_limit_change,
     partitions_of,
 )
 from .schur_ring import PairTable, SchurElement, TensorElement, _merge
@@ -53,7 +54,7 @@ class SchurSeries:
     def term(self, d: int) -> SchurElement:
         """The degree-d term; raises DegreeOverflowError past the cutoff."""
         if d < 0:
-            raise ValueError("degree must be nonnegative")
+            raise InvalidArgumentError("degree must be nonnegative")
         if d > self.cutoff:
             raise DegreeOverflowError(
                 f"degree {d} exceeds the cutoff {self.cutoff} of series "
@@ -78,7 +79,7 @@ def series_term(name: str, d: int) -> SchurElement:
     """Degree-d term of a named Littlewood series (A, B, C or D)."""
     key = name.strip().upper()
     if key not in _NAMED:
-        raise ValueError(f"unknown series {name!r}; expected one of {_NAMED}")
+        raise InvalidArgumentError(f"unknown series {name!r}; expected one of {_NAMED}")
     if d == 0:
         return SchurElement.one()
     if d % 2:
@@ -105,10 +106,15 @@ def series_term(name: str, d: int) -> SchurElement:
     return SchurElement(table)
 
 
+# A term of degree d is built from shapes of weight d, so one built under a
+# higher limit must not outlive it.
+on_weight_limit_change(series_term.cache_clear)
+
+
 def littlewood_series(name: str, cutoff: int = DEFAULT_CUTOFF) -> SchurSeries:
     key = name.strip().upper()
     if key not in _NAMED:
-        raise ValueError(f"unknown series {name!r}; expected one of {_NAMED}")
+        raise InvalidArgumentError(f"unknown series {name!r}; expected one of {_NAMED}")
     if cutoff > get_weight_limit():
         raise DegreeOverflowError(
             f"cutoff {cutoff} exceeds the partition weight limit {get_weight_limit()}"

@@ -6,15 +6,21 @@ place instead of going through the validating, copying
 group each unordered pair of factors before they multiply.  These tests pin
 what that must not change: the tensor products against an ungrouped sum
 written here, the weight-limit errors, the shared tables themselves, and the
-shortcuts the immutable tables allow.
+shortcuts the immutable tables allow.  `char_rings` also caches its own
+tables, the O/Sp tensor products and the basis conversions; those are
+refereed against a fresh contraction and the plain series skews, and must
+not be served under a lower weight limit.
 """
 
 import pytest
 
-from schurhopf import _lrkernel_py, lr, verify
+from schurhopf import _lrkernel_py, char_rings, lr, verify
 from schurhopf.char_rings import (
+    _FROM_GL,
+    _TO_GL,
     Basis,
     CharElement,
+    _contract,
     char_antipode,
     char_coproduct,
     convert,
@@ -30,7 +36,12 @@ from schurhopf.partition import (
     subpartitions,
 )
 from schurhopf.schur_ring import SchurElement, TensorElement, TermTable
-from schurhopf.series import delta_double_prime, littlewood_series, unit_series
+from schurhopf.series import (
+    delta_double_prime,
+    littlewood_series,
+    skew_by_series,
+    unit_series,
+)
 
 P = Partition
 s = SchurElement.basis
@@ -203,6 +214,125 @@ def test_weight_limit_errors_survive_the_in_place_path():
             assert str(err.value) == expected, label
     finally:
         set_weight_limit(old)
+
+
+# The character-ring tables cached in char_rings, each computed at the
+# default limit and then asked for again at limit 10.
+WARM_CASES = {
+    "O tensor, 33 x 33": lambda: tensor_product(P((3, 3)), P((3, 3)), Basis.O),
+    "Sp tensor, 43 x 43": lambda: tensor_product(P((4, 3)), P((4, 3)), Basis.SP),
+    "O tensor, 32 x 32": lambda: tensor_product(P((3, 2)), P((3, 2)), Basis.O),
+    "convert {66} to O": lambda: convert(CharElement(Basis.GL, {(6, 6): 1}), Basis.O),
+    "convert [66] to Sp": lambda: convert(CharElement(Basis.O, {(6, 6): 1}), Basis.SP),
+    "convert <5 4 2> to GL": lambda: convert(CharElement(Basis.SP, {(5, 4, 2): 1}), Basis.GL),
+    "convert [3 2] to Sp": lambda: convert(CharElement(Basis.O, {(3, 2): 1}), Basis.SP),
+}
+WARM_OUTCOMES = {
+    "O tensor, 33 x 33": PRODUCT_12,
+    "Sp tensor, 43 x 43": PRODUCT_12,
+    "O tensor, 32 x 32": None,
+    "convert {66} to O": PARTITION_12,
+    "convert [66] to Sp": PARTITION_12,
+    "convert <5 4 2> to GL": "partition weight 11 exceeds the limit 10",
+    "convert [3 2] to Sp": None,
+}
+
+
+def _outcomes_at_limit_10(warm):
+    old = get_weight_limit()
+    out = {}
+    for label, run in WARM_CASES.items():
+        if warm:
+            run()
+        else:
+            char_rings.clear_caches()
+        set_weight_limit(10)
+        try:
+            run()
+            out[label] = None
+        except WeightLimitError as err:
+            out[label] = str(err)
+        finally:
+            set_weight_limit(old)
+    return out
+
+
+def test_char_ring_tables_are_not_served_under_a_lower_limit():
+    cold = _outcomes_at_limit_10(warm=False)
+    assert cold == WARM_OUTCOMES
+    assert _outcomes_at_limit_10(warm=True) == cold
+
+
+def test_set_weight_limit_empties_the_char_ring_caches():
+    for run in WARM_CASES.values():
+        run()
+    assert all(info.currsize for info in char_rings.cache_info().values())
+    old = get_weight_limit()
+    set_weight_limit(old)
+    info = char_rings.cache_info()
+    assert set(info) == {"tensor", "convert"}
+    assert all(v.currsize == v.hits == v.misses == 0 for v in info.values())
+
+
+def _sigmas_inside_both(lam, mu):
+    """The contraction's sigma list as it was built before the meet: every
+    shape inside the lighter factor that also fits in the other."""
+    small, big = (lam, mu) if sum(lam) <= sum(mu) else (mu, lam)
+    return [(sigma, sigma, 1) for sigma in subpartitions(small) if big.contains(sigma)]
+
+
+def test_cached_tensor_tables_match_a_fresh_contraction():
+    shapes = partitions_up_to(5)
+    cached = {}
+    for lam in shapes:
+        for mu in shapes:
+            for basis in (Basis.O, Basis.SP):
+                cached[lam, mu, basis] = tensor_product(lam, mu, basis)
+    char_rings.clear_caches()
+    for (lam, mu, basis), got in cached.items():
+        assert got.basis is basis
+        fresh = _contract(lam, mu, _sigmas_inside_both(lam, mu))
+        assert dict(got.items()) == fresh, (lam, mu, basis)
+
+
+def _two_skews(lam, source, to):
+    """{lam} skewed by the series out of source, then the one into to."""
+    x = s(lam)
+    for name in (_TO_GL.get(source), _FROM_GL.get(to)):
+        if name is not None:
+            x = skew_by_series(x, littlewood_series(name))
+    return dict(x.items())
+
+
+def test_cached_conversions_match_the_series_skews():
+    pairs = [(a, b) for a in Basis for b in Basis if a is not b]
+    assert len(pairs) == 6
+    for lam in partitions_up_to(6):
+        for source, to in pairs:
+            got = convert(CharElement.basis_element(source, lam), to)
+            assert got.basis is to
+            assert dict(got.items()) == _two_skews(lam, source, to), (lam, source, to)
+
+
+def test_a_repeated_call_is_a_cache_hit():
+    char_rings.clear_caches()
+    calls = {
+        "tensor": lambda: tensor_product((3, 1), (2, 2), Basis.SP),
+        "convert": lambda: convert(CharElement(Basis.O, {(3, 1): 2, (1,): -1}), Basis.SP),
+    }
+    for table, run in calls.items():
+        first = run()
+        before = char_rings.cache_info()[table]
+        second = run()
+        after = char_rings.cache_info()[table]
+        assert second == first, table
+        assert after.hits > before.hits, table
+        assert after.misses == before.misses, table
+    # O and Sp read one tensor table
+    before = char_rings.cache_info()["tensor"]
+    o = tensor_product((3, 1), (2, 2), Basis.O)
+    assert char_rings.cache_info()["tensor"].hits == before.hits + 1
+    assert dict(o.items()) == dict(calls["tensor"]().items())
 
 
 @pytest.mark.parametrize("basis", [Basis.O, Basis.SP])

@@ -1,7 +1,12 @@
 import pytest
 
-from schurhopf.errors import DegreeOverflowError, NotInvertibleError
-from schurhopf.partition import Partition, partitions_of
+from schurhopf.errors import (
+    DegreeOverflowError,
+    InvalidArgumentError,
+    NotInvertibleError,
+    WeightLimitError,
+)
+from schurhopf.partition import Partition, get_weight_limit, partitions_of, set_weight_limit
 from schurhopf.schur_ring import SchurElement
 from schurhopf.series import (
     SchurSeries,
@@ -9,6 +14,7 @@ from schurhopf.series import (
     littlewood_series,
     series_inverse,
     series_product,
+    series_term,
     skew_by_series,
     unit_series,
 )
@@ -107,6 +113,38 @@ def test_series_rejects_inhomogeneous_terms():
     bad = SchurSeries(lambda d: s(P((1,))), cutoff=4, name="bad")
     with pytest.raises(ValueError):
         bad.term(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: littlewood_series("Z"),
+        lambda: series_term("Z", 2),
+        lambda: littlewood_series("D").term(-1),
+        lambda: SchurSeries(lambda d: SchurElement.one(), cutoff=2).term(-1),
+    ],
+    ids=["littlewood_series name", "series_term name", "named term -1", "term -1"],
+)
+def test_bad_series_names_and_degrees_are_invalid_arguments(call):
+    # InvalidArgumentError is a ValueError, so `except ValueError` still works
+    with pytest.raises(InvalidArgumentError) as err:
+        call()
+    assert isinstance(err.value, ValueError)
+
+
+def test_set_weight_limit_empties_the_named_series_terms():
+    old = get_weight_limit()
+    series_term("D", 12)
+    set_weight_limit(10)
+    try:
+        # a fresh process refuses this term; a term cached under the old
+        # limit must not be served instead
+        with pytest.raises(WeightLimitError):
+            series_term("D", 12)
+        assert series_term.cache_info().currsize == 0
+        assert len(series_term("D", 10).items()) == 7
+    finally:
+        set_weight_limit(old)
 
 
 def test_term_fn_memoized():
