@@ -28,11 +28,9 @@ coefficients, branchings and tensor products cannot.
 `CharElement` and `CharTensorElement` are the term tables of `schur_ring`
 (`TermTable`, `PairTable`) tagged with their basis by `BasisTagged`; the tag
 adds the basis check, the brackets and the JSON "basis" field.  The ring maps
-below build their results with the trusted `_trusted(table, basis)`, under
-the contract stated in `schur_ring`: canonical keys, no zero coefficients, and
-a dict that no one else holds.  Like `schur_ring`, they read the skew and
-product tables cached in `lr` in place, read-only.  Both tensor products
-are one Newell-Littlewood contraction, `_contract`: it adds up the
+below build their results with `_trusted(table, basis)` and read cached tables
+directly, under the sharing rule in `schur_ring`'s docstring.  Both tensor
+products are one Newell-Littlewood contraction, `_contract`: it adds up the
 coefficient of each unordered pair (p, q) over every sigma, since
 s_p.s_q = s_q.s_p, and then expands each pair's product once.
 
@@ -42,12 +40,10 @@ here the way `lr` caches its tables, in bounded LRU caches of `lr`'s size:
 `_newell_littlewood(lam, mu)` holds [lam].[mu] per ordered pair, one table
 that O and Sp share, and `_conversion(source, lam, to)` holds the basis
 character lam of `source` rewritten in `to`.  `convert` adds c times that
-table over the terms c.lam of its argument; the antipode, the branchings and
-the right slot of the coproduct all convert through it.  A cached table is
-never wrapped: `tensor_product` hands out a `dict()` copy, so each element
-still holds a dict that no one else does.  set_weight_limit empties both
-caches (`clear_caches`), so no table computed under another limit is
-served.  `tensor_product_generic` is not cached, so the verify suite's
+table over the terms c.lam of its argument, for the antipode and the
+branchings too; the coproduct reads it for its right slot.  set_weight_limit
+empties both caches (`clear_caches`), so no table computed under another
+limit is served.  `tensor_product_generic` is not cached, so the verify suite's
 generic-engine check compares two independent computations.
 """
 
@@ -58,7 +54,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import lr
-from .errors import BasisMismatchError, InvalidArgumentError
+from .errors import BasisMismatchError, InvalidArgumentError, _expect
 from .partition import (
     Partition,
     _unchecked,
@@ -67,6 +63,7 @@ from .partition import (
     subpartitions,
 )
 from .schur_ring import PairTable, SchurElement, TermTable, _add_scaled, _merge
+from .schur_ring import _from_json
 from .series import SchurSeries, _skew_by_terms, delta_double_prime, series_term
 
 
@@ -119,8 +116,6 @@ class BasisTagged:
         return self._tag.brackets
 
     def _check(self, other) -> None:
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected a {type(self).__name__}")
         if other._tag is not self._tag:
             raise BasisMismatchError(
                 f"cannot combine {self._tag.value} and {other._tag.value} "
@@ -152,7 +147,7 @@ class CharElement(BasisTagged, TermTable):
         Only honest for GL elements; the antipode reads it before it
         conjugates.
         """
-        return SchurElement._trusted(dict(self._terms))
+        return SchurElement._trusted(self._terms)
 
     def __mul__(self, other):
         if isinstance(other, CharElement):
@@ -161,9 +156,8 @@ class CharElement(BasisTagged, TermTable):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharElement":
-        return cls(
-            Basis.parse(obj["basis"]),
-            ((t["partition"], t["coeff"]) for t in obj["terms"]),
+        return _from_json(
+            lambda terms: cls(obj["basis"], terms), obj, lambda t: t["partition"]
         )
 
 
@@ -188,6 +182,7 @@ def _skew(x: SchurElement, name: str | None) -> SchurElement:
 def convert(x: CharElement, to: Basis | str) -> CharElement:
     """Rewrite x in another basis of the same underlying ring, through GL;
     x itself if it is already written in that basis."""
+    _expect(x, CharElement)
     to = to if isinstance(to, Basis) else Basis.parse(to)
     if to is x.basis:
         return x
@@ -225,9 +220,8 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
     basis = basis if isinstance(basis, Basis) else Basis.parse(basis)
     lam = Partition(lam)
     mu = Partition(mu)
-    if basis is Basis.GL:
-        return CharElement._trusted(lr.product_expansion(lam, mu), Basis.GL)
-    return CharElement._trusted(dict(_newell_littlewood(lam, mu)), basis)
+    product = lr._product_terms if basis is Basis.GL else _newell_littlewood
+    return CharElement._trusted(product(lam, mu), basis)
 
 
 @lru_cache(maxsize=lr._CACHE_SIZE)
@@ -277,6 +271,7 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
     accordingly (O for D, Sp for B, GL otherwise); for any other T the table
     is in the basis {lam / T^-1} determined by T.
     """
+    _expect(t, SchurSeries)
     lam = Partition(lam)
     mu = Partition(mu)
     need = lam.weight + mu.weight
@@ -292,32 +287,33 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
 
 def char_multiply(x: CharElement, y: CharElement) -> CharElement:
     """Bilinear extension of tensor_product to whole elements."""
+    _expect(x, CharElement)
+    _expect(y, CharElement)
     x._check(y)
+    product = lr._product_terms if x.basis is Basis.GL else _newell_littlewood
     table: dict[Partition, int] = {}
     for p, a in x._terms.items():
         for q, b in y._terms.items():
-            _add_scaled(table, tensor_product(p, q, x.basis)._terms, a * b)
+            _add_scaled(table, product(p, q), a * b)
     return CharElement._trusted(table, x.basis)
 
 
 def char_coproduct(x: CharElement) -> CharTensorElement:
     """The comultiplication of the character ring, slotwise in x's basis:
-    a basis character goes to sum_zeta (lam/zeta) (x) {zeta}, with {zeta}
-    rewritten in x's basis."""
+    x's Schur coproduct, sum (lam/zeta) (x) {zeta}, with the right slot
+    {zeta} rewritten in x's basis."""
+    _expect(x, CharElement)
     table: dict[tuple[Partition, Partition], int] = {}
-    for lam, a in x.items():
-        for zeta in subpartitions(lam):
-            left = lr._skew_terms(lam, zeta)
-            right = convert(CharElement._trusted({zeta: 1}, Basis.GL), x.basis)
-            for p, u in left.items():
-                for q, v in right.items():
-                    _merge(table, (p, q), a * u * v)
+    for (p, zeta), a in x.as_schur_element().coproduct().items():
+        for q, v in _conversion(Basis.GL, zeta, x.basis).items():
+            _merge(table, (p, q), a * v)
     return CharTensorElement._trusted(table, x.basis)
 
 
 def char_counit(x: CharElement) -> int:
     """The coefficient of {0} in x rewritten in GL: for O and Sp the signed
     indicator of the series that leads to GL (C, resp. A)."""
+    _expect(x, CharElement)
     name = _TO_GL.get(x.basis)
     if name is None:
         return x.coefficient(())
@@ -330,6 +326,7 @@ _PARTNER = {Basis.GL: Basis.GL, Basis.O: Basis.SP, Basis.SP: Basis.O}
 def char_antipode(x: CharElement) -> CharElement:
     """The antipode: conjugate, sign by weight, read the result in the
     partner basis (O and Sp swap, GL stays) and rewrite it in x's basis."""
+    _expect(x, CharElement)
     conj = x.as_schur_element().antipode()
     return convert(CharElement._trusted(conj._terms, _PARTNER[x.basis]), x.basis)
 

@@ -2,6 +2,7 @@
 
 Every error raised by the library derives from SchurHopfError so callers can
 catch one type at the boundary.  The CLI maps subclasses to exit codes.
+`_expect` is the API entries' check for an argument of the wrong type.
 """
 
 
@@ -22,10 +23,11 @@ class ValueParseError(SchurHopfError, ValueError):
 
 
 class InvalidArgumentError(SchurHopfError, ValueError):
-    """A well-formed argument outside its domain: an unknown basis or series
-    name, eigenvalues that do not fit the group, a negative series cutoff or
-    degree, or eigenvalues whose character value has too many digits to
-    print."""
+    """An argument of the wrong type or outside its domain: a string for a
+    degree, a SchurElement for a CharElement, a malformed JSON form, an
+    unknown basis or series name, eigenvalues that do not fit the group, a
+    negative series cutoff or degree, or eigenvalues whose character value
+    has too many digits to print."""
 
 
 class DegreeOverflowError(SchurHopfError):
@@ -50,3 +52,11 @@ class UnsupportedGroupError(SchurHopfError):
 
 class SingularDenominatorError(SchurHopfError, ZeroDivisionError):
     """Repeated evaluation points make the bialternant denominator vanish."""
+
+
+def _expect(value, kind: type) -> None:
+    """Raise InvalidArgumentError unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(
+            f"expected {kind.__name__}, got {type(value).__name__}"
+        )

@@ -27,6 +27,7 @@ from .errors import (
     StableRangeError,
     UnsupportedGroupError,
     ValueParseError,
+    _expect,
 )
 from .partition import Partition, partitions_up_to
 from .schur_ring import _merge
@@ -187,6 +188,15 @@ def coerce_value(v):
     return _to_fraction(v)
 
 
+def _exact_values(values) -> list:
+    """coerce_value of each value, where a value that is not exact, or values
+    that are not a sequence, raise ValueParseError."""
+    try:
+        return [coerce_value(v) for v in values]
+    except TypeError as err:
+        raise ValueParseError(str(err)) from None
+
+
 _GROUP_RE = re.compile(r"^\s*(GL|SL|SO|Sp|O-)\s*\(\s*([0-9]+)\s*\)\s*$", re.IGNORECASE)
 
 _CANONICAL = {"gl": "GL", "sl": "SL", "so": "SO", "sp": "Sp", "o-": "O-"}
@@ -212,7 +222,7 @@ class EigenvalueSpec:
     __slots__ = ("family", "size", "free_values")
 
     def __init__(self, group: str, free_values):
-        m = _GROUP_RE.match(group)
+        m = _GROUP_RE.match(group) if isinstance(group, str) else None
         if not m:
             raise UnsupportedGroupError(
                 f"cannot parse group {group!r}; expected GL(n), SL(n), "
@@ -227,7 +237,7 @@ class EigenvalueSpec:
             ) from None
         if self.size < 1:
             raise UnsupportedGroupError("group size must be positive")
-        values = tuple(coerce_value(v) for v in free_values)
+        values = tuple(_exact_values(free_values))
         if any(not v for v in values):
             raise InvalidArgumentError("eigenvalue parameters must be nonzero")
         expected = self.free_count_for(self.family, self.size)
@@ -305,7 +315,7 @@ def eval_schur_tableaux(lam, values):
     than there are values.
     """
     lam = Partition(lam)
-    vals = [coerce_value(v) for v in values]
+    vals = _exact_values(values)
     if lam.length > len(vals):
         return Fraction(0)
     if not lam:
@@ -358,7 +368,7 @@ def eval_schur_bialternant(lam, values):
     the caller should fall back to eval_schur_tableaux.
     """
     lam = Partition(lam)
-    vals = [coerce_value(v) for v in values]
+    vals = _exact_values(values)
     n = len(vals)
     for i in range(n):
         for j in range(i + 1, n):
@@ -407,6 +417,7 @@ def eval_character(lam, spec: EigenvalueSpec):
     scope, so the guard is a hard error rather than a silent wrong answer.
     """
     lam = Partition(lam)
+    _expect(spec, EigenvalueSpec)
     if spec.family == "Sp" and spec.size % 2:
         raise UnsupportedGroupError(
             f"cannot evaluate characters of {spec.group_name}: the universal "
@@ -450,6 +461,10 @@ def verify_cauchy(nx: int, ny: int, max_degree: int) -> bool:
     degree 2*max_degree, which keeps exactly the terms whose x-degree and
     y-degree are both at most max_degree.
     """
+    for n in (nx, ny, max_degree):
+        _expect(n, int)
+        if n < 0:
+            raise InvalidArgumentError(f"verify_cauchy needs counts >= 0, got {n}")
     nvars = nx + ny
     bound = 2 * max_degree
     direct = poly_one(nvars)

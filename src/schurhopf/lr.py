@@ -21,13 +21,14 @@ naming the factors in argument order.  set_weight_limit empties the caches,
 so every hit was computed under the current limit.  A miss that raises still
 counts as a miss in cache_info.
 
-product_expansion and skew_expansion are the API boundary: they validate
-both shapes and hand each caller a fresh dict copy, so callers may mutate
-what they get.  The ring code in schur_ring and char_rings reads the cached
-tables in place instead, through _product_terms and _skew_terms, under a
-read-only contract: it passes only Partitions, never a skew's inner shape
-heavier than its outer one (so the outer one's check covers both), and it
-never mutates, stores or returns a table it gets from them.
+The cached tables are shared under the rule stated in schur_ring's
+docstring.  product_expansion and skew_expansion are the API boundary: they
+validate both shapes and hand each caller a fresh dict copy, since a caller
+may mutate a plain dict.  lr_expand_product and lr_expand_skew validate both
+shapes and wrap the cached table itself.  The ring code in schur_ring and
+char_rings calls _product_terms and _skew_terms directly; it passes only
+Partitions, and never a skew's inner shape heavier than its outer one, so
+the outer one's check covers both.
 """
 
 from __future__ import annotations
@@ -132,14 +133,14 @@ def lr_expand_product(lam, mu):
     """s_lam * s_mu as a SchurElement."""
     from .schur_ring import SchurElement
 
-    return SchurElement(product_expansion(lam, mu))
+    return SchurElement._trusted(_product_terms(Partition(lam), Partition(mu)))
 
 
 def lr_expand_skew(outer, inner):
     """s_{outer/inner} as a SchurElement (zero when inner is not contained)."""
     from .schur_ring import SchurElement
 
-    return SchurElement(skew_expansion(outer, inner))
+    return SchurElement._trusted(_skew_terms(Partition(outer), Partition(inner)))
 
 
 def cache_info():

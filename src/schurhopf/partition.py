@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import PartitionError, WeightLimitError
+from .errors import PartitionError, WeightLimitError, _expect
 
 DEFAULT_WEIGHT_LIMIT = 64
 
@@ -64,10 +64,7 @@ class Partition(tuple):
         # a trusted shape passes through; only the weight limit may have moved
         if type(parts) is cls and sum(parts) <= _weight_limit:
             return parts
-        t = tuple(parts)
-        for p in t:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise PartitionError(f"parts must be integers, got {p!r}")
+        t = _int_parts(parts)
         # strip trailing zeros so (2, 1, 0, 0) and (2, 1) coincide
         while t and t[-1] == 0:
             t = t[:-1]
@@ -146,6 +143,20 @@ class Partition(tuple):
         return format_partition(self)
 
 
+def _int_parts(parts) -> tuple:
+    """parts as a tuple of ints; PartitionError for anything else."""
+    try:
+        t = tuple(parts)
+    except TypeError:
+        raise PartitionError(
+            f"expected a sequence of parts, got {type(parts).__name__}"
+        ) from None
+    for p in t:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise PartitionError(f"parts must be integers, got {p!r}")
+    return t
+
+
 def _unchecked(parts: Iterable[int]) -> Partition:
     """Wrap parts as a Partition without validating them.
 
@@ -167,6 +178,8 @@ def parse_partition(text: str) -> Partition:
     parts need the comma form.  "0" and "" denote the zero partition.  Parts
     and exponents are ASCII digits.
     """
+    if not isinstance(text, str):
+        raise PartitionError(f"expected partition text, got {type(text).__name__}")
     t = text.strip()
     if t in ("", "0"):
         return ZERO
@@ -255,7 +268,7 @@ def format_partition(p: Iterable[int]) -> str:
     only when the first ends in an exponent, so "2^2 1^2" stays unambiguous
     while (2,1,1) prints as "21^2".  Parts above 9 fall back to the comma form.
     """
-    p = tuple(p)
+    p = _int_parts(p)
     if not p:
         return "0"
     if p[0] > 9:
@@ -289,6 +302,9 @@ def partitions_of(d: int, max_part: int | None = None) -> list[Partition]:
 
     partitions_of(4) gives (4), (3,1), (2,2), (2,1,1), (1,1,1,1).
     """
+    _expect(d, int)
+    if max_part is not None:
+        _expect(max_part, int)
     if d < 0:
         return []
     if d > _weight_limit:
@@ -311,6 +327,7 @@ def _descending_parts(d, max_part):
 
 def partitions_up_to(d: int) -> list[Partition]:
     """All partitions of weight 0, 1, ..., d, weight-major order."""
+    _expect(d, int)
     out: list[Partition] = []
     for w in range(d + 1):
         out.extend(partitions_of(w))

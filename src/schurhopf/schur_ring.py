@@ -13,19 +13,19 @@ basis of a character, the cutoff of a twisted-coproduct table).  The core owns
 what does not depend on the algebra: validation, the linear operations,
 ordering, JSON and rendering.  The rings supply their products and Hopf maps.
 
-The public constructors validate keys and coefficients.  Ring code builds its
-results with the trusted `_trusted(table, tag)` instead, and its caller
-guarantees three things: every key is already canonical (a `Partition`, or a
-pair of them), no coefficient is zero, and no one else holds the dict.  No
-table is mutated once it is wrapped, so `x * 1` and a sum with an empty table
-may hand back an operand itself.
+The one sharing rule of the package: no coefficient table is mutated once
+built, so any table may be shared.  An element may wrap a table cached in
+`lr` or `char_rings`, and `x * 1` and a sum with an empty table may hand back
+an operand itself.  The public constructors validate keys and coefficients;
+ring code builds its results with the trusted `_trusted(table, tag)` instead,
+whose caller guarantees that every key is already canonical (a `Partition`,
+or a pair of them) and that no coefficient is zero.
 
 Products, skews and coproducts read the Littlewood-Richardson tables cached
-in `lr` in place (`lr._product_terms`, `lr._skew_terms`), not through the
-validating, copying `lr.product_expansion`/`skew_expansion`.  The shared
-tables are read-only: ring code only iterates them while merging into its
-own fresh dict.  `lr` checks the weight limit where it computes a table, so
-a term pair past the limit raises the API boundary's error from there.
+in `lr` (`lr._product_terms`, `lr._skew_terms`), not through the validating
+`lr.product_expansion`/`skew_expansion`.  `lr` checks the weight limit where
+it computes a table, so a term pair past the limit raises the API boundary's
+error from there.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import lr
+from .errors import InvalidArgumentError
 from .partition import (
     Partition,
     format_partition,
@@ -70,6 +71,15 @@ def _add_scaled(table: dict, terms: dict, k: int) -> None:
             del table[r]
 
 
+def _from_json(make, obj, key):
+    """make([(key(t), t["coeff"]) for each term t]) of a JSON form; a form
+    without those fields raises InvalidArgumentError."""
+    try:
+        return make([(key(t), t["coeff"]) for t in obj["terms"]])
+    except (KeyError, TypeError) as err:
+        raise InvalidArgumentError(f"malformed JSON term table: {err!r}") from None
+
+
 class TermTable:
     """A finite integer combination of partitions, with an optional tag."""
 
@@ -90,7 +100,7 @@ class TermTable:
 
     @classmethod
     def _trusted(cls, table: dict, tag=None):
-        """Wrap `table` unchecked, under the contract in the module docstring."""
+        """Wrap `table` unchecked, under the rule in the module docstring."""
         e = cls.__new__(cls)
         e._terms = table
         e._tag = tag
@@ -114,7 +124,7 @@ class TermTable:
     def _check(self, other: "TermTable") -> None:
         """Raise unless `other` carries the same tag as self."""
         if other._tag != self._tag:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"cannot combine {type(self).__name__} tables tagged "
                 f"{self._tag!r} and {other._tag!r}"
             )
@@ -316,7 +326,7 @@ class SchurElement(TermTable):
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchurElement":
-        return cls((t["partition"], t["coeff"]) for t in obj["terms"])
+        return _from_json(cls, obj, lambda t: t["partition"])
 
 
 class TensorElement(PairTable):
@@ -367,4 +377,4 @@ class TensorElement(PairTable):
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorElement":
-        return cls(((t["left"], t["right"]), t["coeff"]) for t in obj["terms"])
+        return _from_json(cls, obj, lambda t: (t["left"], t["right"]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DegreeOverflowError, InvalidArgumentError, NotInvertibleError
+from .errors import DegreeOverflowError, InvalidArgumentError, NotInvertibleError, _expect
 from .partition import (
     Partition,
     distinct_partitions_of,
@@ -43,6 +43,9 @@ class SchurSeries:
         cutoff: int = DEFAULT_CUTOFF,
         name: str | None = None,
     ):
+        if not callable(term_fn):
+            raise InvalidArgumentError("a series needs a term function")
+        _expect(cutoff, int)
         if cutoff < 0:
             raise InvalidArgumentError("cutoff must be nonnegative")
         self._fn = term_fn
@@ -52,7 +55,10 @@ class SchurSeries:
         self._twisted: dict[int, TensorSeriesCoefficients] = {}
 
     def term(self, d: int) -> SchurElement:
-        """The degree-d term; raises DegreeOverflowError past the cutoff."""
+        """The degree-d term; raises DegreeOverflowError past the cutoff.
+        Past the weight limit a memoized term is recomputed, so it raises as
+        in a fresh series."""
+        _expect(d, int)
         if d < 0:
             raise InvalidArgumentError("degree must be nonnegative")
         if d > self.cutoff:
@@ -60,13 +66,15 @@ class SchurSeries:
                 f"degree {d} exceeds the cutoff {self.cutoff} of series "
                 f"{self.name or '<anonymous>'}"
             )
-        got = self._memo.get(d)
+        got = self._memo.get(d) if d <= get_weight_limit() else None
         if got is None:
             got = self._fn(d)
             if not isinstance(got, SchurElement):
-                raise TypeError("series term function must return SchurElement")
+                raise InvalidArgumentError("series term must be a SchurElement")
             if any(p.weight != d for p, _ in got.items()):
-                raise ValueError(f"series term of degree {d} is not homogeneous: {got}")
+                raise InvalidArgumentError(
+                    f"series term of degree {d} is not homogeneous: {got}"
+                )
             self._memo[d] = got
         return got
 
@@ -74,12 +82,17 @@ class SchurSeries:
         return f"SchurSeries(name={self.name!r}, cutoff={self.cutoff})"
 
 
+def _series_key(name) -> str:
+    key = name.strip().upper() if isinstance(name, str) else None
+    if key not in _NAMED:
+        raise InvalidArgumentError(f"unknown series {name!r}; expected one of {_NAMED}")
+    return key
+
+
 @lru_cache(maxsize=None)
 def series_term(name: str, d: int) -> SchurElement:
     """Degree-d term of a named Littlewood series (A, B, C or D)."""
-    key = name.strip().upper()
-    if key not in _NAMED:
-        raise InvalidArgumentError(f"unknown series {name!r}; expected one of {_NAMED}")
+    key = _series_key(name)
     if d == 0:
         return SchurElement.one()
     if d % 2:
@@ -112,9 +125,8 @@ on_weight_limit_change(series_term.cache_clear)
 
 
 def littlewood_series(name: str, cutoff: int = DEFAULT_CUTOFF) -> SchurSeries:
-    key = name.strip().upper()
-    if key not in _NAMED:
-        raise InvalidArgumentError(f"unknown series {name!r}; expected one of {_NAMED}")
+    key = _series_key(name)
+    _expect(cutoff, int)
     if cutoff > get_weight_limit():
         raise DegreeOverflowError(
             f"cutoff {cutoff} exceeds the partition weight limit {get_weight_limit()}"
@@ -134,7 +146,10 @@ def series_product(
     s: SchurSeries, t: SchurSeries, cutoff: int | None = None, name: str | None = None
 ) -> SchurSeries:
     """Graded convolution (S*T)(d) = sum_e S(e) T(d-e)."""
+    _expect(s, SchurSeries)
+    _expect(t, SchurSeries)
     cut = min(s.cutoff, t.cutoff) if cutoff is None else cutoff
+    _expect(cut, int)
     if cut > min(s.cutoff, t.cutoff):
         raise DegreeOverflowError("product cutoff exceeds a factor's cutoff")
     if name is None and s.name and t.name:
@@ -153,9 +168,11 @@ def series_inverse(
     s: SchurSeries, cutoff: int | None = None, name: str | None = None
 ) -> SchurSeries:
     """Inverse under the graded product; needs S(0) = s_0."""
+    _expect(s, SchurSeries)
     if s.term(0) != SchurElement.one():
         raise NotInvertibleError("series has no inverse: degree-0 term is not 1")
     cut = s.cutoff if cutoff is None else cutoff
+    _expect(cut, int)
     if cut > s.cutoff:
         raise DegreeOverflowError("inverse cutoff exceeds the series cutoff")
 
@@ -174,6 +191,8 @@ def series_inverse(
 
 def skew_by_series(x: SchurElement, s: SchurSeries) -> SchurElement:
     """x / S = sum_d x / S(d); finite because skewing lowers degree."""
+    _expect(x, SchurElement)
+    _expect(s, SchurSeries)
     need = x.max_degree()
     if need > s.cutoff:
         raise DegreeOverflowError(
@@ -237,13 +256,15 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
     delta_{sigma,tau}, which is what makes the generic tensor-product engine
     collapse to the orthogonal and symplectic rules.
 
-    The table is memoized per series and cutoff: repeated calls return the
-    same shared object, which callers must not mutate.
+    The table is memoized per series and cutoff, and served again while the
+    cutoff is within the weight limit.
     """
+    _expect(t, SchurSeries)
     cut = t.cutoff if cutoff is None else cutoff
+    _expect(cut, int)
     if cut > t.cutoff:
         raise DegreeOverflowError("cutoff exceeds the series cutoff")
-    got = t._twisted.get(cut)
+    got = t._twisted.get(cut) if cut <= get_weight_limit() else None
     if got is None:
         got = t._twisted[cut] = _delta_double_prime(t, cut)
     return got

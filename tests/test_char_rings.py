@@ -17,7 +17,8 @@ from schurhopf.char_rings import (
     tensor_product,
     tensor_product_generic,
 )
-from schurhopf.errors import BasisMismatchError, WeightLimitError
+from schurhopf import char_rings
+from schurhopf.errors import BasisMismatchError, InvalidArgumentError, WeightLimitError
 from schurhopf.partition import Partition, get_weight_limit, partitions_up_to, set_weight_limit
 from schurhopf.schur_ring import SchurElement
 from schurhopf.series import littlewood_series, unit_series
@@ -296,6 +297,26 @@ def test_char_multiply_is_associative(basis):
                 assert lhs == char_multiply(x, char_multiply(y, z)), (lam, mu, nu)
 
 
+NOT_A_CHARACTER = {
+    "convert": lambda: convert(SchurElement.basis((1,)), "O"),
+    "char_counit": lambda: char_counit(SchurElement.basis((2, 1))),
+    "char_antipode": lambda: char_antipode(SchurElement.basis((2, 1))),
+    "char_coproduct": lambda: char_coproduct(SchurElement.basis((2, 1))),
+    "char_multiply, left": lambda: char_multiply(SchurElement.basis((2, 1)), X(Basis.O, (1,))),
+    "char_multiply, right": lambda: char_multiply(X(Basis.O, (1,)), SchurElement.basis((2, 1))),
+    "tensor_product_generic": lambda: tensor_product_generic((1,), (1,), "D"),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_A_CHARACTER))
+def test_ring_maps_reject_arguments_of_another_type(name):
+    before = char_rings.cache_info()["convert"].currsize
+    with pytest.raises(InvalidArgumentError):
+        NOT_A_CHARACTER[name]()
+    # nothing is cached under a key built from the wrong argument
+    assert char_rings.cache_info()["convert"].currsize == before
+
+
 def test_as_schur_element():
     x = X(Basis.O, (2, 1))
     assert x.as_schur_element() == SchurElement.basis(P((2, 1)))
@@ -355,6 +376,8 @@ def test_elements_over_a_lowered_weight_limit_raise_weight_limit_error():
                     convert(x, to)
             with pytest.raises(WeightLimitError):
                 char_coproduct(x)
+            with pytest.raises(WeightLimitError):
+                char_multiply(x, X(x.basis, (1,)))
             if x.basis is Basis.GL:
                 assert dict(char_antipode(x).items()) == {(2,) * 6: 1}
                 continue

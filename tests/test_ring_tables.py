@@ -23,6 +23,7 @@ from schurhopf.char_rings import (
     _contract,
     char_antipode,
     char_coproduct,
+    char_multiply,
     convert,
     tensor_product,
     tensor_product_generic,
@@ -300,7 +301,7 @@ def _two_skews(lam, source, to):
     x = s(lam)
     for name in (_TO_GL.get(source), _FROM_GL.get(to)):
         if name is not None:
-            x = skew_by_series(x, littlewood_series(name))
+            x = skew_by_series(x, littlewood_series(name, sum(lam)))
     return dict(x.items())
 
 
@@ -359,9 +360,27 @@ def test_over_limit_tensor_products_raise_before_any_skew(basis, monkeypatch):
     assert calls
 
 
-def test_shared_tables_stay_intact():
+def _recorded(monkeypatch, name):
+    """Record every key char_rings asks its cached table `name` for."""
+    cached = getattr(char_rings, name)
+    keys = set()
+
+    def record(*key):
+        keys.add(key)
+        return cached(*key)
+
+    monkeypatch.setattr(char_rings, name, record)
+    return cached, keys
+
+
+def test_shared_tables_stay_intact(monkeypatch):
     # Fill the caches through ring code, including maps with negative
-    # coefficients, then read every table back through the copying API.
+    # coefficients and results that wrap cached tables, then read every
+    # table back: lr's through the copying API, char_rings' against a fresh
+    # contraction and the plain series skews.
+    char_rings.clear_caches()
+    tensor, tensor_keys = _recorded(monkeypatch, "_newell_littlewood")
+    conversion, conversion_keys = _recorded(monkeypatch, "_conversion")
     verify.run_suite("all", 4)
     for basis in Basis:
         for lam in partitions_up_to(4):
@@ -369,6 +388,23 @@ def test_shared_tables_stay_intact():
             char_antipode(x)
             for to in Basis:
                 convert(x, to)
+            wrapped = tensor_product(lam, (2, 1), basis)
+            y = char_multiply(x, wrapped) - 2 * wrapped
+            char_antipode(y + wrapped)
+            char_coproduct(-y)
+            product = lr.lr_expand_product(lam, (1, 1))
+            (product + lr.lr_expand_skew(lam, (1,)) * 3).coproduct()
+            product.skew(lam) - SchurElement.basis(lam)
+    assert tensor_keys and conversion_keys
+    hits = tensor.cache_info().hits
+    for lam, mu in tensor_keys:
+        fresh = _contract(lam, mu, _sigmas_inside_both(lam, mu))
+        assert tensor(lam, mu) == fresh, (lam, mu)
+    assert tensor.cache_info().hits == hits + len(tensor_keys)
+    hits = conversion.cache_info().hits
+    for source, lam, to in conversion_keys:
+        assert conversion(source, lam, to) == _two_skews(lam, source, to), (lam, source, to)
+    assert conversion.cache_info().hits == hits + len(conversion_keys)
     shapes = partitions_up_to(4)
     for p in shapes:
         for q in shapes:
@@ -388,11 +424,18 @@ def test_ring_code_skips_the_copying_boundary(monkeypatch):
         "skew": lambda: (x * y).skew(y),
         "coproduct": lambda: x.coproduct(),
         "tensor product": lambda: t * t,
+        "GL tensor": lambda: tensor_product((3, 1), (2, 1), Basis.GL),
         "O tensor": lambda: tensor_product((3, 1), (2, 1), Basis.O),
         "Sp tensor": lambda: tensor_product((3, 1), (2, 1), Basis.SP),
         "convert": lambda: convert(CharElement(Basis.O, {(3, 1): 1}), Basis.SP),
         "char coproduct": lambda: char_coproduct(CharElement(Basis.SP, {(2, 2): 1})),
+        "lr_expand_product": lambda: lr.lr_expand_product((3, 1), (2, 1)),
+        "lr_expand_skew": lambda: lr.lr_expand_skew((3, 2, 1), (2, 1)),
     }
+    for basis in Basis:
+        a = CharElement(basis, {(2, 1): 1, (1,): -2})
+        b = CharElement(basis, {(2,): 3, (1, 1): 1})
+        ring_maps[f"{basis.value} char_multiply"] = lambda a=a, b=b: char_multiply(a, b)
     before = {name: run() for name, run in ring_maps.items()}
 
     def boundary(*args):
@@ -402,6 +445,21 @@ def test_ring_code_skips_the_copying_boundary(monkeypatch):
     monkeypatch.setattr(lr, "skew_expansion", boundary)
     for name, run in ring_maps.items():
         assert run() == before[name], name
+
+
+def test_char_multiply_reads_the_tables_not_tensor_product(monkeypatch):
+    pairs = {
+        basis: (CharElement(basis, {(2, 1): 1, (1,): -2}), CharElement(basis, {(2,): 3}))
+        for basis in Basis
+    }
+    before = {basis: char_multiply(x, y) for basis, (x, y) in pairs.items()}
+
+    def public(*args):
+        raise AssertionError("char_multiply called the public tensor_product")
+
+    monkeypatch.setattr(char_rings, "tensor_product", public)
+    for basis, (x, y) in pairs.items():
+        assert char_multiply(x, y) == before[basis], basis
 
 
 def test_immutable_tables_share_operands():

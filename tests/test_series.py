@@ -147,6 +147,44 @@ def test_set_weight_limit_empties_the_named_series_terms():
         set_weight_limit(old)
 
 
+def test_series_memos_are_not_served_past_a_lowered_limit():
+    old = get_weight_limit()
+    d = littlewood_series("D", 12)
+    twelve = d.term(12)
+    both = series_product(littlewood_series("D", 12), littlewood_series("C", 12))
+    assert both.term(12) == SchurElement.zero()
+    set_weight_limit(10)
+    try:
+        # a fresh series raises here, so the memoized ones must too
+        with pytest.raises(DegreeOverflowError):
+            littlewood_series("D", 12)
+        with pytest.raises(WeightLimitError):
+            d.term(12)
+        with pytest.raises(WeightLimitError):
+            both.term(12)
+        assert len(d.term(10).items()) == 7
+    finally:
+        set_weight_limit(old)
+    assert d.term(12) == twelve
+    assert len(twelve.items()) == 11
+    # a term past the limit with no shape of that weight still computes
+    assert unit_series(100).term(70).is_zero
+
+
+def test_twisted_memos_are_not_served_past_a_lowered_limit():
+    old = get_weight_limit()
+    d = littlewood_series("D", 6)
+    table = delta_double_prime(d, 6)
+    set_weight_limit(4)
+    try:
+        with pytest.raises(WeightLimitError):
+            delta_double_prime(d, 6)
+        assert delta_double_prime(d, 4).cutoff == 4
+    finally:
+        set_weight_limit(old)
+    assert delta_double_prime(d, 6) == table
+
+
 def test_term_fn_memoized():
     calls = []
 
