@@ -14,7 +14,11 @@ alone, by repeatedly taking the lex-leading one and subtracting that multiple
 of its Kostka row, which is valid whenever the variable count is at least
 the degree.  The defining products of the Littlewood series are expanded
 keeping only monomials that can still become dominant; the pruning is exact
-because exponents only grow as factors go in.
+because exponents only grow as factors go in.  A product s_lam s_mu is read
+the same way: each dominant coefficient is a sum of products of two Kostka
+numbers, so neither factor is ever written out in full.  The route that
+multiplies whole Schur polynomials, with its guard that every orbit of
+monomials is present, is kept in the tests (`tests/oracle_reference.py`).
 
 Nothing in this module touches the Littlewood-Richardson code; that is the
 point, since these routines referee it.
@@ -22,13 +26,11 @@ point, since these routines referee it.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import product
-from math import factorial
 from operator import add
 
-from .partition import Partition
+from .partition import Partition, partitions_of
 
 
 def horizontal_extensions(mu, cap):
@@ -137,31 +139,6 @@ def kostka_row(lam: tuple) -> dict[tuple, int]:
     return row
 
 
-def schur_expand_homogeneous(poly: dict, nvars: int) -> dict[Partition, int]:
-    """Write a homogeneous symmetric polynomial, given with every monomial,
-    in the Schur basis.
-
-    The input is symmetric when each monomial carries its sorted twin's
-    coefficient and each twin's orbit under permuting the variables is
-    present in full; anything else raises ValueError.  The expansion itself
-    reads only the dominant monomials (`schur_expand_dominant`)."""
-    seen: dict[tuple, int] = {}
-    for e, c in poly.items():
-        twin = tuple(sorted(e, reverse=True))
-        if poly.get(twin) != c:
-            raise ValueError(f"not symmetric: exponents {e} and {twin} differ")
-        seen[twin] = seen.get(twin, 0) + 1
-    for twin, count in seen.items():
-        orbit = factorial(len(twin))
-        for m in Counter(twin).values():
-            orbit //= factorial(m)
-        if count != orbit:
-            raise ValueError(
-                f"not symmetric: {count} of the {orbit} permutations of {twin}"
-            )
-    return schur_expand_dominant({e: poly[e] for e in seen}, nvars)
-
-
 def schur_expand_dominant(dominant: dict, nvars: int) -> dict[Partition, int]:
     """Write the homogeneous symmetric polynomial whose dominant monomials
     are `dominant` in the Schur basis.
@@ -191,6 +168,20 @@ def schur_expand_dominant(dominant: dict, nvars: int) -> dict[Partition, int]:
     return out
 
 
+def pair_factor(nvars: int, i: int, j: int, inverse: bool, max_deg: int) -> dict:
+    """The factor 1 - x_i x_j in nvars variables, or with inverse its
+    geometric inverse sum_m (x_i x_j)^m truncated at total degree max_deg;
+    i == j gives 1 - x_i^2 and its inverse."""
+    def power(m):
+        e = [0] * nvars
+        e[i] += m
+        e[j] += m
+        return tuple(e)
+    if inverse:
+        return {power(m): 1 for m in range(max_deg // 2 + 1)}
+    return {power(0): 1, power(1): -1}
+
+
 def _dominant_product(kind: str, nvars: int, max_deg: int) -> dict:
     """The dominant monomials of the product prod (1 - x_i x_j) over i<j
     (kind "A") or i<=j ("C"), or of the inverse products ("B", "D") via
@@ -205,21 +196,7 @@ def _dominant_product(kind: str, nvars: int, max_deg: int) -> dict:
     strict = kind in ("A", "B")
     for i in range(nvars):
         for j in range(i + (1 if strict else 0), nvars):
-            if inverse:
-                factor = {}
-                m = 0
-                while 2 * m <= max_deg:
-                    e = [0] * nvars
-                    e[i] += m
-                    e[j] += m
-                    factor[tuple(e)] = 1
-                    m += 1
-            else:
-                e = [0] * nvars
-                e[i] += 1
-                e[j] += 1
-                factor = {(0,) * nvars: 1, tuple(e): -1}
-            out = poly_mul(out, factor, max_deg)
+            out = poly_mul(out, pair_factor(nvars, i, j, inverse, max_deg), max_deg)
         out = {
             e: c for e, c in out.items()
             if (i == 0 or e[i - 1] >= e[i]) and max(e[i:]) == e[i]
@@ -238,9 +215,28 @@ def series_term_by_expansion(name: str, d: int) -> dict[Partition, int]:
 
 
 def product_in_schur_basis(lam, mu) -> dict[Partition, int]:
-    """s_lam * s_mu by raw polynomial multiplication plus re-expansion."""
+    """s_lam * s_mu, read from its dominant monomials in |lam|+|mu| variables.
+
+    The coefficient of x^nu in the product sums, over the splits nu = a + b
+    with |a| = |lam|, the coefficient of x^a in s_lam times that of x^b in
+    s_mu.  Both factors are symmetric, so those are the Kostka numbers
+    K_{lam, sort a} and K_{mu, sort b}."""
     lam = tuple(lam)
     mu = tuple(mu)
-    nvars = max(sum(lam) + sum(mu), 1)
-    prod = poly_mul(schur_polynomial(lam, nvars), schur_polynomial(mu, nvars))
-    return schur_expand_homogeneous(prod, nvars)
+    size = sum(lam)
+    total = size + sum(mu)
+    nvars = max(total, 1)
+    left = kostka_row(lam)
+    right = kostka_row(mu)
+    content = lambda e: tuple(sorted(filter(None, e), reverse=True))
+    dominant = {}
+    for nu in partitions_of(total):
+        c = 0
+        for a in product(*(range(x + 1) for x in nu)):
+            if sum(a) == size:
+                k = left.get(content(a))
+                if k:
+                    c += k * right.get(content(map(int.__sub__, nu, a)), 0)
+        if c:
+            dominant[tuple(nu) + (0,) * (nvars - len(nu))] = c
+    return schur_expand_dominant(dominant, nvars)

@@ -201,13 +201,8 @@ def _run_char(args, fmt: str) -> int:
     op = args.charop
     lam = parse_partition(args.partition)
     if op == "branch":
-        to = Basis.parse(args.to)
-        if to is Basis.O:
-            _emit_element(char_rings.branch_gl_to_o(lam), fmt)
-        elif to is Basis.SP:
-            _emit_element(char_rings.branch_gl_to_sp(lam), fmt)
-        else:
-            _emit_element(CharElement.basis_element(Basis.GL, lam), fmt)
+        x = CharElement.basis_element(Basis.GL, lam)
+        _emit_element(char_rings.convert(x, Basis.parse(args.to)), fmt)
         return EXIT_OK
     if op == "tensor":
         basis = Basis.parse(args.basis)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from ._oracle import (
     horizontal_extensions,
+    pair_factor,
     poly_mul,
     poly_one,
     schur_polynomial,
@@ -190,7 +191,12 @@ def coerce_value(v):
 
 def _exact_values(values) -> list:
     """coerce_value of each value, where a value that is not exact, or values
-    that are not a sequence, raise ValueParseError."""
+    that are not a sequence, raise ValueParseError.  A str or bytes is one
+    value, not a sequence of characters, so it is refused too."""
+    if isinstance(values, (str, bytes)):
+        raise ValueParseError(
+            f"expected a sequence of values, got {type(values).__name__}"
+        )
     try:
         return [coerce_value(v) for v in values]
     except TypeError as err:
@@ -470,18 +476,9 @@ def verify_cauchy(nx: int, ny: int, max_degree: int) -> bool:
     direct = poly_one(nvars)
     inverse = poly_one(nvars)
     for i in range(nx):
-        for a in range(ny):
-            e = [0] * nvars
-            e[i] = 1
-            e[nx + a] = 1
-            e = tuple(e)
-            direct = poly_mul(direct, {(0,) * nvars: 1, e: -1}, bound)
-            geo = {}
-            m = 0
-            while 2 * m <= bound:
-                geo[tuple(x * m for x in e)] = 1
-                m += 1
-            inverse = poly_mul(inverse, geo, bound)
+        for j in range(nx, nvars):
+            direct = poly_mul(direct, pair_factor(nvars, i, j, False, bound), bound)
+            inverse = poly_mul(inverse, pair_factor(nvars, i, j, True, bound), bound)
 
     sum_inverse: dict = {}
     sum_direct: dict = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import PartitionError, WeightLimitError, _expect
+from .errors import InvalidArgumentError, PartitionError, WeightLimitError, _expect
 
 DEFAULT_WEIGHT_LIMIT = 64
 
@@ -36,8 +36,10 @@ def set_weight_limit(limit: int) -> None:
     """Raise or lower the guard on partition weight (None of the math needs
     more than the default; this exists for callers who know what they want)."""
     global _weight_limit
-    if limit < 0:
-        raise ValueError("weight limit must be nonnegative")
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise InvalidArgumentError(
+            f"weight limit must be a nonnegative int, got {limit!r}"
+        )
     _weight_limit = limit
     for hook in _limit_hooks:
         hook()
@@ -267,10 +269,13 @@ def format_partition(p: Iterable[int]) -> str:
     The inverse of parse_partition on its output.  A space separates two runs
     only when the first ends in an exponent, so "2^2 1^2" stays unambiguous
     while (2,1,1) prints as "21^2".  Parts above 9 fall back to the comma form.
+    Parts that are not positive and weakly decreasing raise PartitionError.
     """
     p = _int_parts(p)
     if not p:
         return "0"
+    if p[-1] <= 0 or any(a < b for a, b in zip(p, p[1:])):
+        raise PartitionError(f"not a partition: {p}")
     if p[0] > 9:
         if len(p) == 1:
             return f"{p[0]},"  # trailing comma keeps "11" from reading as 1^2
@@ -313,15 +318,17 @@ def partitions_of(d: int, max_part: int | None = None) -> list[Partition]:
         )
     if max_part is None:
         max_part = d
-    return [_unchecked(raw) for raw in _descending_parts(d, max_part)]
+    return [_unchecked(raw) for raw in _descending_parts(d, max_part, 0)]
 
 
-def _descending_parts(d, max_part):
+def _descending_parts(d, max_part, gap):
+    """Partitions of d with parts at most max_part, each part at least gap
+    above the next: gap 0 gives all of them, gap 1 distinct parts."""
     if d == 0:
         yield ()
         return
     for first in range(min(d, max_part), 0, -1):
-        for rest in _descending_parts(d - first, first):
+        for rest in _descending_parts(d - first, first - gap, gap):
             yield (first,) + rest
 
 
@@ -356,13 +363,4 @@ def subpartitions(p: Iterable[int]) -> Iterator[Partition]:
 
 def distinct_partitions_of(d: int) -> Iterator[tuple[int, ...]]:
     """Partitions of d into strictly decreasing parts (plain tuples)."""
-
-    def rec(rem, max_part):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, max_part), 0, -1):
-            for rest in rec(rem - first, first - 1):
-                yield (first,) + rest
-
-    yield from rec(d, d)
+    return _descending_parts(d, d, 1)

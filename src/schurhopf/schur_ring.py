@@ -172,8 +172,7 @@ class TermTable:
         if not self._terms and sign == 1 and type(other) is type(self):
             return other
         table = dict(self._terms)
-        for k, c in other._terms.items():
-            _merge(table, k, sign * c)
+        _add_scaled(table, other._terms, sign)
         return self._trusted(table, self._tag)
 
     def __neg__(self):

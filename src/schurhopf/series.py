@@ -27,7 +27,7 @@ from .partition import (
     on_weight_limit_change,
     partitions_of,
 )
-from .schur_ring import PairTable, SchurElement, TensorElement, _merge
+from .schur_ring import PairTable, SchurElement, TensorElement
 
 DEFAULT_CUTOFF = 8
 
@@ -289,6 +289,6 @@ def _delta_double_prime(t: SchurSeries, cut: int) -> TensorSeriesCoefficients:
             if left.is_zero or right.is_zero:
                 continue
             total = total + left * right
-        for key, c in total.items():
-            _merge(entries, key, c)
+        # the keys of degree g have |sigma| + |tau| = g, so degrees never clash
+        entries.update(total._terms)
     return TensorSeriesCoefficients._trusted(entries, cut)

@@ -24,6 +24,7 @@ from .char_rings import (
     tensor_product,
     tensor_product_generic,
 )
+from .errors import InvalidArgumentError
 from .evaluate import verify_cauchy
 from .lr import lr_coefficient
 from .partition import (
@@ -555,6 +556,6 @@ def run_suite(name: str, max_degree: int | None = None) -> list[CheckResult]:
             out.extend(SUITES[key](max_degree))
         return out
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{sorted(SUITES)} or 'all'")
+        raise InvalidArgumentError(f"unknown suite {name!r}; choose from "
+                                   f"{sorted(SUITES)} or 'all'")
     return SUITES[name](max_degree)

@@ -1,10 +1,14 @@
-"""Frozen copy of the oracle's earlier full-polynomial route, for parity.
+"""Frozen copy of the oracle's earlier full-polynomial routes, for parity.
 
-It expands the defining product of a named series in every monomial and
-writes the result in the Schur basis by subtracting whole Schur polynomials.
-`_oracle` now keeps only the dominant monomials and subtracts Kostka rows;
-the tests hold the two routes equal.
+It expands the defining product of a named series, or the product of two
+Schur polynomials, in every monomial and writes the result in the Schur basis
+by subtracting whole Schur polynomials, after checking that the polynomial is
+symmetric.  `_oracle` now keeps only the dominant monomials and subtracts
+Kostka rows; the tests hold the two routes equal.
 """
+
+from collections import Counter
+from math import factorial
 
 from schurhopf._oracle import poly_mul, poly_one, schur_polynomial
 from schurhopf.partition import Partition
@@ -49,7 +53,22 @@ def littlewood_product_poly(kind, nvars, max_deg):
 
 def schur_expand_homogeneous(poly, nvars):
     """Subtract the Schur polynomial of the lex-leading exponent until
-    nothing is left; needs nvars at least the degree."""
+    nothing is left; needs nvars at least the degree, and a polynomial that
+    is symmetric, monomial by monomial."""
+    seen = {}
+    for e, c in poly.items():
+        twin = tuple(sorted(e, reverse=True))
+        if poly.get(twin) != c:
+            raise ValueError(f"not symmetric: exponents {e} and {twin} differ")
+        seen[twin] = seen.get(twin, 0) + 1
+    for twin, count in seen.items():
+        orbit = factorial(len(twin))
+        for m in Counter(twin).values():
+            orbit //= factorial(m)
+        if count != orbit:
+            raise ValueError(
+                f"not symmetric: {count} of the {orbit} permutations of {twin}"
+            )
     if not poly:
         return {}
     degree = sum(next(iter(poly)))
@@ -74,3 +93,12 @@ def series_term_by_expansion(name, d):
     return schur_expand_homogeneous(
         {e: c for e, c in poly.items() if sum(e) == d}, nvars
     )
+
+
+def product_in_schur_basis(lam, mu):
+    """s_lam * s_mu by raw polynomial multiplication plus re-expansion."""
+    lam = tuple(lam)
+    mu = tuple(mu)
+    nvars = max(sum(lam) + sum(mu), 1)
+    prod = poly_mul(schur_polynomial(lam, nvars), schur_polynomial(mu, nvars))
+    return schur_expand_homogeneous(prod, nvars)

@@ -42,8 +42,9 @@ from schurhopf import (
     unit_series,
 )
 from schurhopf.errors import InvalidArgumentError, UnsupportedGroupError, ValueParseError
-from schurhopf.partition import partitions_up_to
+from schurhopf.partition import partitions_up_to, set_weight_limit
 from schurhopf.series import TensorSeriesCoefficients, series_term
+from schurhopf.verify import run_suite
 
 s = SchurElement.basis
 
@@ -85,6 +86,11 @@ TYPED_ERRORS = {
     "verify_cauchy with a negative count": (
         lambda: schurhopf.verify_cauchy(-1, 1, 1), InvalidArgumentError
     ),
+    "set_weight_limit('3')": (lambda: set_weight_limit("3"), InvalidArgumentError),
+    "set_weight_limit(2.5)": (lambda: set_weight_limit(2.5), InvalidArgumentError),
+    "set_weight_limit(True)": (lambda: set_weight_limit(True), InvalidArgumentError),
+    "set_weight_limit(-1)": (lambda: set_weight_limit(-1), InvalidArgumentError),
+    "run_suite('bogus')": (lambda: run_suite("bogus"), InvalidArgumentError),
 }
 
 

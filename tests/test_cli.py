@@ -389,6 +389,10 @@ GOLDEN_STDOUT = [
      '"right": [1, 1], "coeff": 1}, {"left": [1], "right": [], "coeff": 1}, '
      '{"left": [], "right": [2, 1], "coeff": 1}, {"left": [], "right": [1], '
      '"coeff": 1}]}\n'),
+    # branching to GL is the identity
+    (("char", "branch", "--to", "GL", "2^2 1^2"),
+     "{2^2 1^2}\n",
+     '{"basis": "GL", "terms": [{"partition": [2, 2, 1, 1], "coeff": 1}]}\n'),
 ]
 
 

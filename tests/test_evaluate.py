@@ -21,6 +21,7 @@ from schurhopf.evaluate import (
     verify_cauchy,
 )
 from schurhopf import char_rings, evaluate, lr
+from schurhopf._oracle import pair_factor
 from schurhopf.char_rings import Basis, CharElement, convert
 from schurhopf.partition import Partition, partitions_up_to
 
@@ -379,3 +380,29 @@ def test_verify_cauchy():
     assert verify_cauchy(2, 2, 4)
     assert verify_cauchy(3, 2, 4)
     assert verify_cauchy(0, 2, 3)
+
+
+def test_verify_cauchy_fails_without_the_geometric_tail(monkeypatch):
+    # keep only 1 + x_i y_j of each 1/(1 - x_i y_j): the inverse kernel is
+    # then wrong from degree 2 on
+    def short_factor(nvars, i, j, inverse, max_deg):
+        full = pair_factor(nvars, i, j, inverse, max_deg)
+        return dict(list(full.items())[:2]) if inverse else full
+
+    monkeypatch.setattr(evaluate, "pair_factor", short_factor)
+    assert not verify_cauchy(1, 1, 2)
+    assert not verify_cauchy(2, 2, 4)
+
+
+@pytest.mark.parametrize("values", ["12", b"12", "1"])
+def test_eigenvalues_given_as_one_string_are_refused(values):
+    # a str is not read one character at a time: "12" is not (1, 2)
+    with pytest.raises(ValueParseError, match="sequence of values"):
+        EigenvalueSpec("GL(2)", values)
+    with pytest.raises(ValueParseError, match="sequence of values"):
+        eval_schur_tableaux((1,), values)
+    with pytest.raises(ValueParseError, match="sequence of values"):
+        eval_schur_bialternant((1,), values)
+    assert eval_schur_tableaux((1,), ["12"]) == 12
+    assert EigenvalueSpec("GL(2)", ["1", "2"]).free_values == (1, 2)
+

@@ -74,6 +74,18 @@ def test_oracle_equivalence_exhaustive():
                         assert got == expect.get(nu, 0), (lam, mu, nu)
 
 
+def test_skews_match_the_oracle_by_adjointness():
+    # <s_{lam/mu}, s_nu> = c^lam_{mu,nu}, each product read once from the oracle
+    products = {}
+    for lam in partitions_up_to(7):
+        for mu in partitions_up_to(lam.weight):
+            table = lr.skew_expansion(lam, mu)
+            for nu in partitions_of(lam.weight - mu.weight):
+                if (mu, nu) not in products:
+                    products[mu, nu] = _oracle.product_in_schur_basis(mu, nu)
+                assert table.get(nu, 0) == products[mu, nu].get(lam, 0), (lam, mu, nu)
+
+
 def test_skew_against_coproduct_duality():
     for nu in partitions_up_to(6):
         for lam in partitions_up_to(nu.weight):

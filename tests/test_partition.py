@@ -3,9 +3,10 @@ import tracemalloc
 from hypothesis import given, strategies as st
 import pytest
 
-from schurhopf.errors import PartitionError, WeightLimitError
+from schurhopf.errors import InvalidArgumentError, PartitionError, WeightLimitError
 from schurhopf.partition import (
     Partition,
+    distinct_partitions_of,
     format_partition,
     get_weight_limit,
     parse_partition,
@@ -115,6 +116,17 @@ def test_format_compact():
 @given(partition_strategy())
 def test_parse_format_round_trip(p):
     assert parse_partition(format_partition(p)) == p
+
+
+def test_format_refuses_parts_that_are_not_a_partition():
+    # "12" and "03" would read back as other shapes, or not at all
+    for parts in ((1, 2), (0, 3), (2, 0), (3, -1), (2, 1, 2), (12, 13)):
+        with pytest.raises(PartitionError, match="not a partition"):
+            format_partition(parts)
+    assert format_partition(()) == "0"
+    assert format_partition((3, 3, 1)) == "3^2 1"
+    for p in partitions_up_to(10):
+        assert parse_partition(format_partition(p)) == p
 
 
 def test_conjugate_examples():
@@ -254,6 +266,33 @@ def test_weight_limit_guard():
         assert Partition((10,)).weight == 10
     finally:
         set_weight_limit(64)
+
+
+def test_a_refused_weight_limit_leaves_the_old_one():
+    for bad in ("3", 2.5, True, -1):
+        with pytest.raises(InvalidArgumentError):
+            set_weight_limit(bad)
+        assert get_weight_limit() == 64
+
+
+def _nested_distinct_partitions(d):
+    # the earlier enumerator of distinct_partitions_of, kept for parity
+    def rec(rem, max_part):
+        if rem == 0:
+            yield ()
+            return
+        for first in range(min(rem, max_part), 0, -1):
+            for rest in rec(rem - first, first - 1):
+                yield (first,) + rest
+
+    yield from rec(d, d)
+
+
+def test_distinct_partitions_match_the_nested_enumerator():
+    for d in range(21):
+        got = list(distinct_partitions_of(d))
+        assert got == list(_nested_distinct_partitions(d)), d
+        assert all(len(set(p)) == len(p) and sum(p) == d for p in got)
 
 
 def test_compact_parse_checks_weight_while_reading():
