@@ -171,7 +171,8 @@ def schur_expand_dominant(dominant: dict, nvars: int) -> dict[Partition, int]:
 def pair_factor(nvars: int, i: int, j: int, inverse: bool, max_deg: int) -> dict:
     """The factor 1 - x_i x_j in nvars variables, or with inverse its
     geometric inverse sum_m (x_i x_j)^m truncated at total degree max_deg;
-    i == j gives 1 - x_i^2 and its inverse."""
+    i == j gives 1 - x_i^2 and its inverse.  max_deg bounds only the
+    inverse: the direct factor is always returned whole."""
     def power(m):
         e = [0] * nvars
         e[i] += m

@@ -80,6 +80,9 @@ def test_products_match_the_full_polynomial_route():
 def test_expansion_needs_enough_variables():
     with pytest.raises(ValueError, match="as many variables as the degree"):
         oracle_reference.schur_expand_homogeneous({(2, 1): 1, (1, 2): 1}, 2)
+    # the library's own expansion keeps the guard: degree 3 in 2 variables
+    with pytest.raises(ValueError, match="as many variables as the degree"):
+        _oracle.schur_expand_dominant({(2, 1): 1}, 2)
 
 
 def test_expansion_refuses_a_non_symmetric_polynomial():
