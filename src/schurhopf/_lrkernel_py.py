@@ -70,8 +70,6 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
         # the rest of row r's run of equal parts sits under an equal row, so
         # it takes no cell and the walk steps over it
         stop = shape.index(base) + shape.count(base) if r < n else r + 1
-        if stop > nrows:
-            stop = nrows
         last = stop == nrows
         extended = []
         for placed, rows, cum in partial:

@@ -94,17 +94,10 @@ def schur_polynomial(lam: tuple, nvars: int) -> dict:
         new_table: dict[tuple, dict] = {}
         for mu, poly in table.items():
             for nu, added in horizontal_extensions(mu, lam):
-                bump = {
-                    exp[:k] + (exp[k] + added,) + exp[k + 1:]: c
-                    for exp, c in poly.items()
-                }
                 cur = new_table.setdefault(nu, {})
-                for e, c in bump.items():
-                    v = cur.get(e, 0) + c
-                    if v:
-                        cur[e] = v
-                    else:
-                        del cur[e]
+                for exp, c in poly.items():
+                    e = exp[:k] + (exp[k] + added,) + exp[k + 1:]
+                    cur[e] = cur.get(e, 0) + c
         table = new_table
     return table.get(lam, {})
 

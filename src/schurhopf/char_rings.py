@@ -54,7 +54,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from . import lr
-from .errors import BasisMismatchError, InvalidArgumentError, _expect
+from .errors import BasisMismatchError, DegreeOverflowError, InvalidArgumentError, _expect
 from .partition import (
     Partition,
     _unchecked,
@@ -269,13 +269,19 @@ def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
     With T = D this reproduces the orthogonal rule, with T = B the symplectic
     one, and with the unit series the GL product.  The result is labelled
     accordingly (O for D, Sp for B, GL otherwise); for any other T the table
-    is in the basis {lam / T^-1} determined by T.
+    is in the basis {lam / T^-1} determined by T.  T's cutoff must reach
+    |lam| + |mu|, the degree of the largest sigma, tau pair the sum needs.
     """
     _expect(t, SchurSeries)
     lam = Partition(lam)
     mu = Partition(mu)
     need = lam.weight + mu.weight
-    coeffs = delta_double_prime(t, min(need, t.cutoff))
+    if need > t.cutoff:
+        raise DegreeOverflowError(
+            f"tensor product of weight {need} with a series of cutoff {t.cutoff}"
+        )
+    lr._check_result_weight(need)
+    coeffs = delta_double_prime(t, need)
     triples = [
         (sigma, tau, b)
         for (sigma, tau), b in coeffs.items()

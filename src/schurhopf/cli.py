@@ -81,21 +81,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     schur = sub.add_parser("schur", parents=[common],
                            help="operations in the Schur basis")
-    schur.add_argument("op", choices=("mul", "skew", "coproduct", "antipode",
-                                      "counit", "scalar"))
+    schur.set_defaults(run=_run_schur)
+    schur.add_argument("op", choices=tuple(_SCHUR_OPS))
     schur.add_argument("partitions", nargs="+", metavar="PARTITION",
                        help='partition text, e.g. "4,2,1" or "2^2 1"')
 
     series = sub.add_parser("series", parents=[common],
                             help="graded terms of a Littlewood series")
+    series.set_defaults(run=_run_series)
     series.add_argument("name", choices=("A", "B", "C", "D"))
     series.add_argument("--max-degree", action=_Cutoff, default=8)
 
     char = sub.add_parser("char", parents=[common],
                           help="universal character ring operations")
+    char.set_defaults(run=_run_char)
     charsub = char.add_subparsers(dest="charop", required=True)
 
     branch = charsub.add_parser("branch", parents=[common])
+    branch.set_defaults(from_basis="GL")  # a branching converts out of GL
     branch.add_argument("--to", required=True, metavar="BASIS",
                         help="target basis: O or Sp")
     branch.add_argument("partition")
@@ -111,13 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--to", required=True, metavar="BASIS")
     conv.add_argument("partition")
 
-    for name in ("coproduct", "antipode", "counit"):
+    for name in _CHAR_MAPS:
         p = charsub.add_parser(name, parents=[common])
         p.add_argument("--basis", required=True)
         p.add_argument("partition")
 
     ev = sub.add_parser("eval", parents=[common],
                         help="evaluate a character at exact eigenvalues")
+    ev.set_defaults(run=_run_eval)
     ev.add_argument("--group", required=True,
                     help='e.g. "GL(3)", "Sp(4)", "SO(5)", "O-(4)"')
     ev.add_argument("--values", default="",
@@ -126,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[common],
                          help="run a built-in verification suite")
+    ver.set_defaults(run=_run_verify)
     ver.add_argument("suite", choices=("hopf", "series", "cauchy", "tables",
                                        "all"))
     ver.add_argument("--max-degree", action=_Cutoff, default=None,
@@ -134,45 +139,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_element(x, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(x.to_json()))
-    else:
-        print(str(x))
-
-
-def _emit_value(v, fmt: str) -> None:
+def _emit(x, fmt: str) -> None:
+    """Print an element, or a scalar value, as text or as JSON."""
+    if hasattr(x, "to_json"):
+        print(json.dumps(x.to_json()) if fmt == "json" else str(x))
+        return
     try:
-        text = str(v)
+        text = str(x)
     except ValueError:  # more digits than int-to-str conversion allows
         raise InvalidArgumentError("the value has too many digits to print") from None
-    if fmt == "json":
-        print(json.dumps({"value": v if isinstance(v, int) else text}))
-    else:
-        print(text)
+    value = {"value": x if isinstance(x, int) else text}
+    print(json.dumps(value) if fmt == "json" else text)
+
+
+# op: (number of partitions, the map from s_lam and the other partitions)
+_SCHUR_OPS = {
+    "mul": (2, lambda x, mu: x * SchurElement.basis(mu)),
+    "skew": (2, SchurElement.skew),
+    "coproduct": (1, SchurElement.coproduct),
+    "antipode": (1, SchurElement.antipode),
+    "counit": (1, SchurElement.counit),
+    "scalar": (2, lambda x, mu: x.scalar_product(SchurElement.basis(mu))),
+}
 
 
 def _run_schur(args, fmt: str) -> int:
     parts = [parse_partition(t) for t in args.partitions]
-    op = args.op
-    needs_two = op in ("mul", "skew", "scalar")
-    if needs_two and len(parts) != 2:
-        raise PartitionError(f"schur {op} takes exactly 2 partitions")
-    if not needs_two and len(parts) != 1:
-        raise PartitionError(f"schur {op} takes exactly 1 partition")
-    x = SchurElement.basis(parts[0])
-    if op == "mul":
-        _emit_element(x * SchurElement.basis(parts[1]), fmt)
-    elif op == "skew":
-        _emit_element(x.skew(parts[1]), fmt)
-    elif op == "scalar":
-        _emit_value(x.scalar_product(SchurElement.basis(parts[1])), fmt)
-    elif op == "coproduct":
-        _emit_element(x.coproduct(), fmt)
-    elif op == "antipode":
-        _emit_element(x.antipode(), fmt)
-    else:
-        _emit_value(x.counit(), fmt)
+    arity, fn = _SCHUR_OPS[args.op]
+    if len(parts) != arity:
+        noun = "partitions" if arity > 1 else "partition"
+        raise PartitionError(f"schur {args.op} takes exactly {arity} {noun}")
+    _emit(fn(SchurElement.basis(parts[0]), *parts[1:]), fmt)
     return EXIT_OK
 
 
@@ -197,32 +194,25 @@ def _run_series(args, fmt: str) -> int:
     return EXIT_OK
 
 
+_CHAR_MAPS = {
+    "coproduct": char_rings.char_coproduct,
+    "antipode": char_rings.char_antipode,
+    "counit": char_rings.char_counit,
+}
+
+
 def _run_char(args, fmt: str) -> int:
-    op = args.charop
     lam = parse_partition(args.partition)
-    if op == "branch":
-        x = CharElement.basis_element(Basis.GL, lam)
-        _emit_element(char_rings.convert(x, Basis.parse(args.to)), fmt)
-        return EXIT_OK
-    if op == "tensor":
+    if args.charop == "tensor":
         basis = Basis.parse(args.basis)
         mu = parse_partition(args.partition2)
-        _emit_element(char_rings.tensor_product(lam, mu, basis), fmt)
-        return EXIT_OK
-    if op == "convert":
-        src = Basis.parse(args.from_basis)
-        dst = Basis.parse(args.to)
-        x = CharElement.basis_element(src, lam)
-        _emit_element(char_rings.convert(x, dst), fmt)
-        return EXIT_OK
-    basis = Basis.parse(args.basis)
-    x = CharElement.basis_element(basis, lam)
-    if op == "coproduct":
-        _emit_element(char_rings.char_coproduct(x), fmt)
-    elif op == "antipode":
-        _emit_element(char_rings.char_antipode(x), fmt)
-    else:
-        _emit_value(char_rings.char_counit(x), fmt)
+        _emit(char_rings.tensor_product(lam, mu, basis), fmt)
+    elif args.charop in _CHAR_MAPS:
+        x = CharElement.basis_element(Basis.parse(args.basis), lam)
+        _emit(_CHAR_MAPS[args.charop](x), fmt)
+    else:  # convert, and branch, whose --from is GL
+        x = CharElement.basis_element(Basis.parse(args.from_basis), lam)
+        _emit(char_rings.convert(x, Basis.parse(args.to)), fmt)
     return EXIT_OK
 
 
@@ -230,7 +220,7 @@ def _run_eval(args, fmt: str) -> int:
     lam = parse_partition(args.partition)
     raw = [v.strip() for v in args.values.split(",") if v.strip()]
     spec = EigenvalueSpec(args.group, raw)
-    _emit_value(eval_character(lam, spec), fmt)
+    _emit(eval_character(lam, spec), fmt)
     return EXIT_OK
 
 
@@ -262,15 +252,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         fmt = getattr(args, "format", None) or args.root_format or "text"
-        if args.command == "schur":
-            return _run_schur(args, fmt)
-        if args.command == "series":
-            return _run_series(args, fmt)
-        if args.command == "char":
-            return _run_char(args, fmt)
-        if args.command == "eval":
-            return _run_eval(args, fmt)
-        return _run_verify(args, fmt)
+        return args.run(args, fmt)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except (DegreeOverflowError, WeightLimitError) as exc:

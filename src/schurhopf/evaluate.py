@@ -203,23 +203,43 @@ def _exact_values(values) -> list:
         raise ValueParseError(str(err)) from None
 
 
+# family: (character basis, fixed eigenvalues at even size, at odd size);
+# EigenvalueSpec states how the free values fill in the rest.
+_FAMILIES = {
+    "GL": (Basis.GL, (), ()),
+    "SL": (Basis.GL, (), ()),
+    "SO": (Basis.O, (), (Fraction(1),)),
+    "Sp": (Basis.SP, (), ()),
+    "O-": (Basis.O, (Fraction(1), Fraction(-1)), (Fraction(-1),)),
+}
+
 _GROUP_RE = re.compile(r"^\s*(GL|SL|SO|Sp|O-)\s*\(\s*([0-9]+)\s*\)\s*$", re.IGNORECASE)
 
-_CANONICAL = {"gl": "GL", "sl": "SL", "so": "SO", "sp": "Sp", "o-": "O-"}
+_CANONICAL = {family.lower(): family for family in _FAMILIES}
+
+
+def _layout(family: str, size: int) -> tuple[int, tuple]:
+    """The number of pairs x, 1/x among the eigenvalues of family(size), and
+    the fixed eigenvalues."""
+    if family not in _FAMILIES:
+        raise UnsupportedGroupError(f"unknown group family {family!r}")
+    basis, even, odd = _FAMILIES[family]
+    fixed = odd if size % 2 else even
+    rest = size - len(fixed)
+    if rest < 0:
+        raise UnsupportedGroupError(f"{family}({size}) is empty")
+    return (0 if basis is Basis.GL else rest // 2), fixed
 
 
 class EigenvalueSpec:
     """A classical group element given by its free eigenvalue parameters.
 
-    The full eigenvalue multiset is induced from the free values:
-
-        GL(n), SL(n)   x_1..x_n                     (SL requires product 1)
-        SO(2k+1)       x_1..x_k, inverses, +1
-        O-(2k+1)       x_1..x_k, inverses, -1
-        Sp(2k)         x_1..x_k, inverses
-        SO(2k)         x_1..x_k, inverses
-        O-(2k)         x_1..x_{k-1}, inverses, +1, -1
-        Sp(2k+1)       x_1..x_k, inverses, x_{k+1}
+    GL(n) and SL(n) take the n eigenvalues themselves (SL requires product
+    1).  The other families fix +1 in SO(2k+1), +1 and -1 in O-(2k) and -1
+    in O-(2k+1); the free values x_i fill as many pairs x_i, 1/x_i as fit
+    beside those, and one more value if one eigenvalue is left, which
+    happens in Sp(2k+1) alone.  eigenvalues() lists the x_i of the pairs,
+    their inverses, the value left over, then the fixed eigenvalues.
 
     "O-" denotes the component of O(N) away from the identity.  Sp(2k+1)
     specs can be represented but not evaluated; see eval_character.
@@ -262,16 +282,8 @@ class EigenvalueSpec:
 
     @staticmethod
     def free_count_for(family: str, size: int) -> int:
-        k, odd = divmod(size, 2)
-        if family in ("GL", "SL"):
-            return size
-        if family == "Sp":
-            return k + 1 if odd else k
-        if family == "O-" and not odd:
-            if k < 1:
-                raise UnsupportedGroupError("O-(0) is empty")
-            return k - 1
-        return k
+        pairs, fixed = _layout(family, size)
+        return size - len(fixed) - pairs
 
     @property
     def group_name(self) -> str:
@@ -280,33 +292,16 @@ class EigenvalueSpec:
     @property
     def rank(self) -> int:
         """Stable-range bound: characters need length(lambda) <= rank."""
-        return self.size if self.family in ("GL", "SL") else self.size // 2
+        return self.size if self.character_basis is Basis.GL else self.size // 2
 
     @property
     def character_basis(self) -> Basis:
-        if self.family in ("GL", "SL"):
-            return Basis.GL
-        if self.family == "Sp":
-            return Basis.SP
-        return Basis.O
+        return _FAMILIES[self.family][0]
 
     def eigenvalues(self) -> tuple:
+        pairs, fixed = _layout(self.family, self.size)
         xs = self.free_values
-        k, odd = divmod(self.size, 2)
-        if self.family in ("GL", "SL"):
-            return xs
-        if self.family == "Sp":
-            if odd:
-                pairs = xs[:k]
-                return pairs + tuple(1 / v for v in pairs) + (xs[k],)
-            return xs + tuple(1 / v for v in xs)
-        inv = tuple(1 / v for v in xs)
-        if self.family == "SO":
-            return xs + inv + ((Fraction(1),) if odd else ())
-        # O- component
-        if odd:
-            return xs + inv + (Fraction(-1),)
-        return xs + inv + (Fraction(1), Fraction(-1))
+        return xs[:pairs] + tuple(1 / v for v in xs[:pairs]) + xs[pairs:] + fixed
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.free_values)
@@ -454,18 +449,13 @@ def eval_character(lam, spec: EigenvalueSpec):
     return _det_bareiss([[entry(lam[i] - i, j) for j in range(n)] for i in range(n)])
 
 
-def _embed(poly: dict, nx: int, ny: int, side: str) -> dict:
-    if side == "x":
-        return {e + (0,) * ny: c for e, c in poly.items()}
-    return {(0,) * nx + e: c for e, c in poly.items()}
-
-
 def verify_cauchy(nx: int, ny: int, max_degree: int) -> bool:
     """Check both Cauchy kernels against their Schur-sum expansions.
 
     Works in nx+ny variables with every polynomial truncated at total
     degree 2*max_degree, which keeps exactly the terms whose x-degree and
-    y-degree are both at most max_degree.
+    y-degree are both at most max_degree.  The x and y variables are
+    disjoint, so s_lam(x) s_mu(y) joins exponents: its terms are ex + ey.
     """
     for n in (nx, ny, max_degree):
         _expect(n, int)
@@ -483,22 +473,14 @@ def verify_cauchy(nx: int, ny: int, max_degree: int) -> bool:
     sum_inverse: dict = {}
     sum_direct: dict = {}
     for lam in partitions_up_to(max_degree):
-        sx = schur_polynomial(tuple(lam), nx)
+        sx = schur_polynomial(tuple(lam), nx).items()
         if not sx:
             continue
-        sy = schur_polynomial(tuple(lam), ny)
-        if sy:
-            for e, c in poly_mul(
-                _embed(sx, nx, ny, "x"), _embed(sy, nx, ny, "y"), bound
-            ).items():
-                _merge(sum_inverse, e, c)
-        syc = schur_polynomial(tuple(lam.conjugate()), ny)
-        if syc:
-            sign = -1 if lam.weight % 2 else 1
-            for e, c in poly_mul(
-                _embed(sx, nx, ny, "x"), _embed(syc, nx, ny, "y"), bound
-            ).items():
-                _merge(sum_direct, e, sign * c)
+        sign = -1 if lam.weight % 2 else 1
+        for total, mu, k in ((sum_inverse, lam, 1), (sum_direct, lam.conjugate(), sign)):
+            for ey, cy in schur_polynomial(tuple(mu), ny).items():
+                for ex, cx in sx:
+                    _merge(total, ex + ey, k * cx * cy)
 
     trim = lambda poly: {e: c for e, c in poly.items() if sum(e) <= bound}
     return trim(inverse) == sum_inverse and trim(direct) == sum_direct

@@ -225,8 +225,13 @@ class TensorSeriesCoefficients(PairTable):
         return self._tag
 
     def diagonal_defects(self, through: int | None = None) -> list:
-        """Entries violating b_{sigma,tau} = delta_{sigma,tau}, as witnesses."""
+        """Entries violating b_{sigma,tau} = delta_{sigma,tau}, as witnesses,
+        through total degree `through` (the cutoff by default)."""
         limit = self.cutoff if through is None else through
+        if limit > self.cutoff:
+            raise DegreeOverflowError(
+                f"defects through degree {limit} asked of a table with cutoff {self.cutoff}"
+            )
         bad = []
         for (s, t), c in self._terms.items():
             if s.weight + t.weight > limit:

@@ -1,8 +1,8 @@
 """Self-checking suites behind the `verify` CLI subcommand.
 
 Each suite runs a batch of exact identities at desk scale and reports one
-CheckResult per property.  Bounds default to the largest weights the
-identities are claimed at; passing a smaller max_degree scales them down
+CheckResult per property.  Each suite passes its checks the largest weights
+the identities are claimed at; a smaller max_degree scales them down
 uniformly (useful for quick smoke runs).
 """
 
@@ -121,7 +121,7 @@ def check_tensor_goldens() -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_osp_coincidence(bound: int = 5) -> CheckResult:
+def check_osp_coincidence(bound: int) -> CheckResult:
     name = f"O/Sp tensor coefficient coincidence (weights <= {bound})"
     for lam in partitions_up_to(bound):
         for mu in partitions_up_to(bound):
@@ -132,7 +132,7 @@ def check_osp_coincidence(bound: int = 5) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_conversion_round_trips(bound: int = 6) -> CheckResult:
+def check_conversion_round_trips(bound: int) -> CheckResult:
     name = f"conversion round-trips, all basis pairs (weight <= {bound})"
     pairs = [(a, b) for a in Basis for b in Basis if a is not b]
     for p in partitions_up_to(bound):
@@ -144,7 +144,7 @@ def check_conversion_round_trips(bound: int = 6) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_branch_convert_consistency(bound: int = 6) -> CheckResult:
+def check_branch_convert_consistency(bound: int) -> CheckResult:
     name = f"branch agrees with convert (weight <= {bound})"
     for p in partitions_up_to(bound):
         gl = CharElement.basis_element(Basis.GL, p)
@@ -155,7 +155,7 @@ def check_branch_convert_consistency(bound: int = 6) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_sigma_bound(bound: int = 5) -> CheckResult:
+def check_sigma_bound(bound: int) -> CheckResult:
     """The tensor-product sum truncates sigma at the smaller weight; check
     directly that every heavier sigma kills one of the two skews."""
     name = f"sigma sums bounded by min weight (weights <= {bound})"
@@ -174,7 +174,7 @@ def check_sigma_bound(bound: int = 5) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_tensor_commutativity(bound: int = 5) -> CheckResult:
+def check_tensor_commutativity(bound: int) -> CheckResult:
     name = f"tensor products commute in every basis (weights <= {bound})"
     for basis in Basis:
         for lam in partitions_up_to(bound):
@@ -186,7 +186,7 @@ def check_tensor_commutativity(bound: int = 5) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_generic_engine(bound: int = 4) -> CheckResult:
+def check_generic_engine(bound: int) -> CheckResult:
     name = f"generic series engine matches direct rules (weights <= {bound})"
     d = littlewood_series("D", 2 * bound)
     b = littlewood_series("B", 2 * bound)
@@ -217,7 +217,7 @@ def suite_tables(max_degree: int | None = None) -> list[CheckResult]:
 
 # -- series -----------------------------------------------------------------
 
-def check_bd_supports(bound: int = 8) -> CheckResult:
+def check_bd_supports(bound: int) -> CheckResult:
     name = f"B and D have unit coefficients on the stated supports (degree <= {bound})"
     dser = littlewood_series("D", bound)
     bser = littlewood_series("B", bound)
@@ -236,7 +236,7 @@ def check_bd_supports(bound: int = 8) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_ca_oracle(bound: int = 8) -> CheckResult:
+def check_ca_oracle(bound: int) -> CheckResult:
     name = f"A and C match the defining-product oracle (degree <= {bound})"
     for series in ("A", "C"):
         ser = littlewood_series(series, bound)
@@ -257,7 +257,7 @@ def check_ca_oracle(bound: int = 8) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_conjugation_duality(bound: int = 8) -> CheckResult:
+def check_conjugation_duality(bound: int) -> CheckResult:
     name = f"conjugation maps C to A and D to B (degree <= {bound})"
     for src, dst in (("C", "A"), ("D", "B")):
         s = littlewood_series(src, bound)
@@ -269,7 +269,7 @@ def check_conjugation_duality(bound: int = 8) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_series_inverses(bound: int = 8) -> CheckResult:
+def check_series_inverses(bound: int) -> CheckResult:
     name = f"A*B = C*D = unit and inverse(C) = D (degree <= {bound})"
     a = littlewood_series("A", bound)
     b = littlewood_series("B", bound)
@@ -288,7 +288,7 @@ def check_series_inverses(bound: int = 8) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_delta_double_prime(bound: int = 6) -> CheckResult:
+def check_delta_double_prime(bound: int) -> CheckResult:
     name = f"split coproduct of D and B is diagonal (degree <= {bound})"
     for series in ("D", "B"):
         t = littlewood_series(series, bound)
@@ -310,7 +310,7 @@ def suite_series(max_degree: int | None = None) -> list[CheckResult]:
 
 # -- Hopf axioms in Symm ------------------------------------------------------
 
-def check_symm_duality(bound: int = 7) -> CheckResult:
+def check_symm_duality(bound: int) -> CheckResult:
     name = f"product/skew/coproduct duality (weight <= {bound})"
     for nu in partitions_up_to(bound):
         cop = SchurElement.basis(nu).coproduct()
@@ -330,7 +330,7 @@ def check_symm_duality(bound: int = 7) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_schur_identity(bound: int = 8) -> CheckResult:
+def check_schur_identity(bound: int) -> CheckResult:
     name = f"alternating skew identity collapses (weight <= {bound})"
     for nu in partitions_up_to(bound):
         total = SchurElement.zero()
@@ -344,7 +344,7 @@ def check_schur_identity(bound: int = 8) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_symm_antipode(bound: int = 7) -> CheckResult:
+def check_symm_antipode(bound: int) -> CheckResult:
     name = f"antipode identity, both sides (weight <= {bound})"
     for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
@@ -359,7 +359,7 @@ def check_symm_antipode(bound: int = 7) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_symm_counitarity(bound: int = 8) -> CheckResult:
+def check_symm_counitarity(bound: int) -> CheckResult:
     name = f"counit is a two-sided counit (weight <= {bound})"
     for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
@@ -383,7 +383,7 @@ def _triple_table(x: SchurElement, first: bool) -> dict:
     return out
 
 
-def check_coassociativity(bound: int = 6) -> CheckResult:
+def check_coassociativity(bound: int) -> CheckResult:
     name = f"coproduct is coassociative and cocommutative (weight <= {bound})"
     for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
@@ -395,7 +395,7 @@ def check_coassociativity(bound: int = 6) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_compatibility(bound: int = 6) -> CheckResult:
+def check_compatibility(bound: int) -> CheckResult:
     name = f"coproduct is an algebra map (total weight <= {bound})"
     for total in range(bound + 1):
         for wa in range(total + 1):
@@ -410,7 +410,7 @@ def check_compatibility(bound: int = 6) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_skew_of_skew(bound: int = 7) -> CheckResult:
+def check_skew_of_skew(bound: int) -> CheckResult:
     name = f"iterated skew matches skew by the product (weight <= {bound})"
     shapes = [partitions_of(w) for w in range(bound + 1)]
     for wl in range(bound + 1):
@@ -431,7 +431,7 @@ def check_skew_of_skew(bound: int = 7) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_skew_of_product(bound: int = 6) -> CheckResult:
+def check_skew_of_product(bound: int) -> CheckResult:
     name = f"skew of a product expands by paired skews (total weight <= {bound})"
     shapes = [partitions_of(w) for w in range(bound + 1)]
     up_to = [partitions_up_to(w) for w in range(bound + 1)]
@@ -469,7 +469,7 @@ def check_skew_of_product(bound: int = 6) -> CheckResult:
 
 # -- Hopf axioms in the O/Sp character rings ---------------------------------
 
-def check_char_counitarity(bound: int = 5) -> CheckResult:
+def check_char_counitarity(bound: int) -> CheckResult:
     name = f"character counit is two-sided (weight <= {bound})"
     for basis in (Basis.O, Basis.SP):
         for p in partitions_up_to(bound):
@@ -486,7 +486,7 @@ def check_char_counitarity(bound: int = 5) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_char_antipode(bound: int = 5) -> CheckResult:
+def check_char_antipode(bound: int) -> CheckResult:
     name = f"character antipode identity, both sides (weight <= {bound})"
     for basis in (Basis.O, Basis.SP):
         unit = CharElement.basis_element(basis, Partition(()))
@@ -551,10 +551,7 @@ SUITES = {
 
 def run_suite(name: str, max_degree: int | None = None) -> list[CheckResult]:
     if name == "all":
-        out = []
-        for key in ("tables", "series", "hopf", "cauchy"):
-            out.extend(SUITES[key](max_degree))
-        return out
+        return [r for suite in SUITES.values() for r in suite(max_degree)]
     if name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choose from "
                                    f"{sorted(SUITES)} or 'all'")

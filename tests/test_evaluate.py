@@ -406,3 +406,63 @@ def test_eigenvalues_given_as_one_string_are_refused(values):
     assert eval_schur_tableaux((1,), ["12"]) == 12
     assert EigenvalueSpec("GL(2)", ["1", "2"]).free_values == (1, 2)
 
+
+
+# free_count_for at n = 0..9, then eigenvalues() at n = 1..9 with the free
+# values 2, 3, 5, ... (for SL the last one makes the product 1)
+_FREE_COUNTS = {
+    "GL": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "SL": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "SO": [0, 0, 1, 1, 2, 2, 3, 3, 4, 4],
+    "Sp": [0, 1, 1, 2, 2, 3, 3, 4, 4, 5],
+    "O-": [None, 0, 0, 1, 1, 2, 2, 3, 3, 4],
+}
+_EIGENVALUES = {
+    "GL": [
+        "2", "2 3", "2 3 5", "2 3 5 7", "2 3 5 7 11", "2 3 5 7 11 13",
+        "2 3 5 7 11 13 17", "2 3 5 7 11 13 17 19", "2 3 5 7 11 13 17 19 23",
+    ],
+    "SL": [
+        "1", "2 1/2", "2 3 1/6", "2 3 5 1/30", "2 3 5 7 1/210",
+        "2 3 5 7 11 1/2310", "2 3 5 7 11 13 1/30030",
+        "2 3 5 7 11 13 17 1/510510", "2 3 5 7 11 13 17 19 1/9699690",
+    ],
+    "SO": [
+        "1", "2 1/2", "2 1/2 1", "2 3 1/2 1/3", "2 3 1/2 1/3 1",
+        "2 3 5 1/2 1/3 1/5", "2 3 5 1/2 1/3 1/5 1",
+        "2 3 5 7 1/2 1/3 1/5 1/7", "2 3 5 7 1/2 1/3 1/5 1/7 1",
+    ],
+    "Sp": [
+        "2", "2 1/2", "2 1/2 3", "2 3 1/2 1/3", "2 3 1/2 1/3 5",
+        "2 3 5 1/2 1/3 1/5", "2 3 5 1/2 1/3 1/5 7",
+        "2 3 5 7 1/2 1/3 1/5 1/7", "2 3 5 7 1/2 1/3 1/5 1/7 11",
+    ],
+    "O-": [
+        "-1", "1 -1", "2 1/2 -1", "2 1/2 1 -1", "2 3 1/2 1/3 -1",
+        "2 3 1/2 1/3 1 -1", "2 3 5 1/2 1/3 1/5 -1",
+        "2 3 5 1/2 1/3 1/5 1 -1", "2 3 5 7 1/2 1/3 1/5 1/7 -1",
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FREE_COUNTS))
+def test_every_family_layout_is_pinned(family):
+    for n, count in enumerate(_FREE_COUNTS[family]):
+        if count is None:
+            with pytest.raises(UnsupportedGroupError, match=r"O-\(0\) is empty"):
+                EigenvalueSpec.free_count_for(family, n)
+        else:
+            assert EigenvalueSpec.free_count_for(family, n) == count, n
+    primes = [F(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    for n, expected in enumerate(_EIGENVALUES[family], start=1):
+        free = primes[:_FREE_COUNTS[family][n]]
+        if family == "SL":
+            free[-1] = 1 / math.prod(free[:-1], start=F(1))
+        values = EigenvalueSpec(f"{family}({n})", free).eigenvalues()
+        assert all(isinstance(v, Fraction) for v in values), n
+        assert " ".join(map(str, values)) == expected, n
+
+
+def test_unknown_family_is_refused():
+    with pytest.raises(UnsupportedGroupError, match="unknown group family"):
+        EigenvalueSpec.free_count_for("U", 3)

@@ -155,8 +155,8 @@ def _lowered_limit_cases():
     left_six = TensorElement.pure(six, s((1,)))
     right_six = TensorElement.pure(s((1,)), six)
     five = TensorElement.pure(s((3, 2)), s((3, 2)))
-    series = {name: littlewood_series(name) for name in "AD"}
-    series["unit"] = unit_series()
+    series = {name: littlewood_series(name, 12) for name in "AD"}
+    series["unit"] = unit_series(12)
     cases = {
         "schur * unit, weight 12": lambda: big * SchurElement.one(),
         "schur * schur, weight 6 + 6": lambda: six * six,

@@ -250,6 +250,23 @@ def test_skew_by_series_needs_enough_cutoff():
         skew_by_series(s(P((4,))), d)
 
 
+def test_generic_tensor_product_needs_enough_cutoff():
+    # at cutoff 2 the sum would miss b_{sigma,tau} past degree 2, so
+    # [2].[2] would lose its [0] term rather than fail
+    d = littlewood_series("D", 2)
+    with pytest.raises(DegreeOverflowError, match="cutoff 2"):
+        tensor_product_generic((2,), (2,), d)
+    full = tensor_product_generic((2,), (2,), littlewood_series("D", 4))
+    assert str(full) == "[4]+[31]+[2^2]+[2]+[1^2]+[0]"
+
+
+def test_diagonal_defects_stop_at_the_cutoff():
+    coeffs = delta_double_prime(littlewood_series("D", 4))
+    assert coeffs.diagonal_defects(4) == coeffs.diagonal_defects() == []
+    with pytest.raises(DegreeOverflowError, match="cutoff 4"):
+        coeffs.diagonal_defects(8)
+
+
 def test_delta_double_prime_diagonal_for_d_and_b():
     for name in ("D", "B"):
         t = littlewood_series(name, 6)
