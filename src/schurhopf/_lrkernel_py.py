@@ -129,12 +129,9 @@ def expand_product(lam, mu):
 
 
 def product_coefficient(lam, mu, nu):
-    """Multiplicity of s_nu in s_lam * s_mu (0 on any degree mismatch)."""
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
+    """Multiplicity of s_nu in s_lam * s_mu: 0 on a degree mismatch or a nu
+    not containing lam or mu, since the walk then never reaches nu."""
     lam, mu = _base_and_content(lam, mu)
-    if not _contains(nu, lam):
-        return 0
     nu = tuple(nu)
     return _grow(lam, mu, nu).get(nu, 0)
 

@@ -50,7 +50,7 @@ generic-engine check compares two independent computations.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Mapping
 
 from . import lr
@@ -172,13 +172,6 @@ _FROM_GL = {Basis.O: "D", Basis.SP: "B"}
 _TO_GL = {Basis.O: "C", Basis.SP: "A"}
 
 
-def _skew(x: SchurElement, name: str | None) -> SchurElement:
-    """x / the named series; x itself for None."""
-    if name is None:
-        return x
-    return _skew_by_terms(x, lambda d: series_term(name, d))
-
-
 def convert(x: CharElement, to: Basis | str) -> CharElement:
     """Rewrite x in another basis of the same underlying ring, through GL;
     x itself if it is already written in that basis."""
@@ -197,7 +190,10 @@ def _conversion(source: Basis, lam: Partition, to: Basis) -> dict[Partition, int
     """The basis character lam of `source`, rewritten in `to`: {lam} skewed
     by the series out of source, then by the one into to."""
     y = SchurElement._trusted({lam: 1})
-    return _skew(_skew(y, _TO_GL.get(source)), _FROM_GL.get(to))._terms
+    for name in (_TO_GL.get(source), _FROM_GL.get(to)):
+        if name is not None:
+            y = _skew_by_terms(y, partial(series_term, name))
+    return y._terms
 
 
 def branch_gl_to_o(lam) -> CharElement:

@@ -1,15 +1,19 @@
 """Self-checking suites behind the `verify` CLI subcommand.
 
 Each suite runs a batch of exact identities at desk scale and reports one
-CheckResult per property.  Each suite passes its checks the largest weights
-the identities are claimed at; a smaller max_degree scales them down
-uniformly (useful for quick smoke runs).
+CheckResult per property.  A check is written as a generator that yields a
+failure witness (a string) wherever its identity fails; the `_check`
+decorator names it, stops it at its first witness and builds its one
+CheckResult, and records the largest weight the identity is claimed at.
+Each suite runs its checks at those weights; a smaller max_degree scales
+them down uniformly (useful for quick smoke runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
+from typing import Iterator
 
 from . import char_rings
 from ._oracle import series_term_by_expansion
@@ -62,6 +66,27 @@ def _cap(default: int, max_degree: int | None) -> int:
     return default if max_degree is None else min(default, max_degree)
 
 
+def _check(title: str, claimed: int | None = None):
+    """A check named title % args out of a generator of failure witnesses;
+    `claimed` is the weight its identity is claimed at (None: unbounded)."""
+    def decorate(witnesses):
+        @wraps(witnesses)
+        def check(*args) -> CheckResult:
+            witness = next(witnesses(*args), None)
+            # Looked up at call time, so a caller can substitute it to time checks.
+            return CheckResult(title % args, witness is None, witness or "")
+        check.claimed = claimed
+        return check
+    return decorate
+
+
+def _suite(max_degree: int | None, *checks) -> list[CheckResult]:
+    return [
+        check() if check.claimed is None else check(_cap(check.claimed, max_degree))
+        for check in checks
+    ]
+
+
 # -- golden tables ----------------------------------------------------------
 
 _BRANCHING_GOLDENS = [
@@ -95,8 +120,8 @@ def _render_plain(x: CharElement) -> str:
     return str(x).replace("⟨", "<").replace("⟩", ">")
 
 
-def check_branching_goldens() -> CheckResult:
-    name = "branching goldens ({4},{1^4},{2^2 1^2} to O and Sp)"
+@_check("branching goldens ({4},{1^4},{2^2 1^2} to O and Sp)")
+def check_branching_goldens() -> Iterator[str]:
     for text, basis, expected in _BRANCHING_GOLDENS:
         lam = parse_partition(text)
         if basis == "O":
@@ -104,61 +129,54 @@ def check_branching_goldens() -> CheckResult:
         else:
             got = char_rings.branch_gl_to_sp(lam)
         if _render_plain(got) != expected:
-            return CheckResult(
-                name, False, f"branch {text} -> {basis}: got {_render_plain(got)}"
-            )
-    return CheckResult(name, True)
+            yield f"branch {text} -> {basis}: got {_render_plain(got)}"
 
 
-def check_tensor_goldens() -> CheckResult:
-    name = "tensor goldens {2^2}*{21} in GL, O, Sp"
+@_check("tensor goldens {2^2}*{21} in GL, O, Sp")
+def check_tensor_goldens() -> Iterator[str]:
     lam = Partition((2, 2))
     mu = Partition((2, 1))
     for basis, expected in _TENSOR_GOLDENS:
         got = tensor_product(lam, mu, Basis.parse(basis))
         if _render_plain(got) != expected:
-            return CheckResult(name, False, f"{basis}: got {_render_plain(got)}")
-    return CheckResult(name, True)
+            yield f"{basis}: got {_render_plain(got)}"
 
 
-def check_osp_coincidence(bound: int) -> CheckResult:
-    name = f"O/Sp tensor coefficient coincidence (weights <= {bound})"
+@_check("O/Sp tensor coefficient coincidence (weights <= %d)", 5)
+def check_osp_coincidence(bound: int) -> Iterator[str]:
     for lam in partitions_up_to(bound):
         for mu in partitions_up_to(bound):
             o = tensor_product(lam, mu, Basis.O)
             sp = tensor_product(lam, mu, Basis.SP)
             if dict(o.items()) != dict(sp.items()):
-                return CheckResult(name, False, f"lambda={lam}, mu={mu}")
-    return CheckResult(name, True)
+                yield f"lambda={lam}, mu={mu}"
 
 
-def check_conversion_round_trips(bound: int) -> CheckResult:
-    name = f"conversion round-trips, all basis pairs (weight <= {bound})"
+@_check("conversion round-trips, all basis pairs (weight <= %d)", 6)
+def check_conversion_round_trips(bound: int) -> Iterator[str]:
     pairs = [(a, b) for a in Basis for b in Basis if a is not b]
     for p in partitions_up_to(bound):
         for a, b in pairs:
             x = CharElement.basis_element(a, p)
             back = convert(convert(x, b), a)
             if back != x:
-                return CheckResult(name, False, f"{x} via {b.value}: got {back}")
-    return CheckResult(name, True)
+                yield f"{x} via {b.value}: got {back}"
 
 
-def check_branch_convert_consistency(bound: int) -> CheckResult:
-    name = f"branch agrees with convert (weight <= {bound})"
+@_check("branch agrees with convert (weight <= %d)", 6)
+def check_branch_convert_consistency(bound: int) -> Iterator[str]:
     for p in partitions_up_to(bound):
         gl = CharElement.basis_element(Basis.GL, p)
         if char_rings.branch_gl_to_o(p) != convert(gl, Basis.O):
-            return CheckResult(name, False, f"O branch of {p}")
+            yield f"O branch of {p}"
         if char_rings.branch_gl_to_sp(p) != convert(gl, Basis.SP):
-            return CheckResult(name, False, f"Sp branch of {p}")
-    return CheckResult(name, True)
+            yield f"Sp branch of {p}"
 
 
-def check_sigma_bound(bound: int) -> CheckResult:
+@_check("sigma sums bounded by min weight (weights <= %d)", 5)
+def check_sigma_bound(bound: int) -> Iterator[str]:
     """The tensor-product sum truncates sigma at the smaller weight; check
     directly that every heavier sigma kills one of the two skews."""
-    name = f"sigma sums bounded by min weight (weights <= {bound})"
     for lam in partitions_up_to(bound):
         for mu in partitions_up_to(bound):
             small = min(lam.weight, mu.weight)
@@ -168,57 +186,51 @@ def check_sigma_bound(bound: int) -> CheckResult:
                     left = SchurElement.basis(lam).skew(sigma)
                     right = SchurElement.basis(mu).skew(sigma)
                     if not (left.is_zero or right.is_zero):
-                        return CheckResult(
-                            name, False, f"sigma={sigma} survives lambda={lam}, mu={mu}"
-                        )
-    return CheckResult(name, True)
+                        yield f"sigma={sigma} survives lambda={lam}, mu={mu}"
 
 
-def check_tensor_commutativity(bound: int) -> CheckResult:
-    name = f"tensor products commute in every basis (weights <= {bound})"
+@_check("tensor products commute in every basis (weights <= %d)", 5)
+def check_tensor_commutativity(bound: int) -> Iterator[str]:
     for basis in Basis:
         for lam in partitions_up_to(bound):
             for mu in partitions_up_to(bound):
                 if tensor_product(lam, mu, basis) != tensor_product(mu, lam, basis):
-                    return CheckResult(
-                        name, False, f"{basis.value}: lambda={lam}, mu={mu}"
-                    )
-    return CheckResult(name, True)
+                    yield f"{basis.value}: lambda={lam}, mu={mu}"
 
 
-def check_generic_engine(bound: int) -> CheckResult:
-    name = f"generic series engine matches direct rules (weights <= {bound})"
+@_check("generic series engine matches direct rules (weights <= %d)", 4)
+def check_generic_engine(bound: int) -> Iterator[str]:
     d = littlewood_series("D", 2 * bound)
     b = littlewood_series("B", 2 * bound)
     u = unit_series(2 * bound)
     for lam in partitions_up_to(bound):
         for mu in partitions_up_to(bound):
             if tensor_product_generic(lam, mu, d) != tensor_product(lam, mu, Basis.O):
-                return CheckResult(name, False, f"T=D: lambda={lam}, mu={mu}")
+                yield f"T=D: lambda={lam}, mu={mu}"
             if tensor_product_generic(lam, mu, b) != tensor_product(lam, mu, Basis.SP):
-                return CheckResult(name, False, f"T=B: lambda={lam}, mu={mu}")
+                yield f"T=B: lambda={lam}, mu={mu}"
             if tensor_product_generic(lam, mu, u) != tensor_product(lam, mu, Basis.GL):
-                return CheckResult(name, False, f"T=unit: lambda={lam}, mu={mu}")
-    return CheckResult(name, True)
+                yield f"T=unit: lambda={lam}, mu={mu}"
 
 
 def suite_tables(max_degree: int | None = None) -> list[CheckResult]:
-    return [
-        check_branching_goldens(),
-        check_tensor_goldens(),
-        check_osp_coincidence(_cap(5, max_degree)),
-        check_conversion_round_trips(_cap(6, max_degree)),
-        check_branch_convert_consistency(_cap(6, max_degree)),
-        check_sigma_bound(_cap(5, max_degree)),
-        check_tensor_commutativity(_cap(5, max_degree)),
-        check_generic_engine(_cap(4, max_degree)),
-    ]
+    return _suite(
+        max_degree,
+        check_branching_goldens,
+        check_tensor_goldens,
+        check_osp_coincidence,
+        check_conversion_round_trips,
+        check_branch_convert_consistency,
+        check_sigma_bound,
+        check_tensor_commutativity,
+        check_generic_engine,
+    )
 
 
 # -- series -----------------------------------------------------------------
 
-def check_bd_supports(bound: int) -> CheckResult:
-    name = f"B and D have unit coefficients on the stated supports (degree <= {bound})"
+@_check("B and D have unit coefficients on the stated supports (degree <= %d)", 8)
+def check_bd_supports(bound: int) -> Iterator[str]:
     dser = littlewood_series("D", bound)
     bser = littlewood_series("B", bound)
     for deg in range(bound + 1):
@@ -226,51 +238,43 @@ def check_bd_supports(bound: int) -> CheckResult:
         bterm = bser.term(deg)
         if deg % 2:
             if not dterm.is_zero or not bterm.is_zero:
-                return CheckResult(name, False, f"odd degree {deg} not zero")
+                yield f"odd degree {deg} not zero"
             continue
         expect_d = {p for p in partitions_of(deg) if all(x % 2 == 0 for x in p)}
         if dict(dterm.items()) != {p: 1 for p in expect_d}:
-            return CheckResult(name, False, f"D degree {deg}")
+            yield f"D degree {deg}"
         if dict(bterm.items()) != {p.conjugate(): 1 for p in expect_d}:
-            return CheckResult(name, False, f"B degree {deg}")
-    return CheckResult(name, True)
+            yield f"B degree {deg}"
 
 
-def check_ca_oracle(bound: int) -> CheckResult:
-    name = f"A and C match the defining-product oracle (degree <= {bound})"
+@_check("A and C match the defining-product oracle (degree <= %d)", 8)
+def check_ca_oracle(bound: int) -> Iterator[str]:
     for series in ("A", "C"):
         ser = littlewood_series(series, bound)
         for deg in range(bound + 1):
             got = dict(ser.term(deg).items())
             if deg % 2 and got:
-                return CheckResult(name, False, f"{series} odd degree {deg} not zero")
+                yield f"{series} odd degree {deg} not zero"
             sign = -1 if (deg // 2) % 2 else 1
             if deg % 2 == 0 and any(c != sign for c in got.values()):
-                return CheckResult(
-                    name, False, f"{series} degree {deg}: coefficient not {sign}"
-                )
+                yield f"{series} degree {deg}: coefficient not {sign}"
             if got != series_term_by_expansion(series, deg):
-                return CheckResult(
-                    name, False,
-                    f"{series} degree {deg} disagrees with product expansion",
-                )
-    return CheckResult(name, True)
+                yield f"{series} degree {deg} disagrees with product expansion"
 
 
-def check_conjugation_duality(bound: int) -> CheckResult:
-    name = f"conjugation maps C to A and D to B (degree <= {bound})"
+@_check("conjugation maps C to A and D to B (degree <= %d)", 8)
+def check_conjugation_duality(bound: int) -> Iterator[str]:
     for src, dst in (("C", "A"), ("D", "B")):
         s = littlewood_series(src, bound)
         t = littlewood_series(dst, bound)
         for deg in range(bound + 1):
             flipped = {p.conjugate(): c for p, c in s.term(deg).items()}
             if flipped != dict(t.term(deg).items()):
-                return CheckResult(name, False, f"{src} vs {dst} at degree {deg}")
-    return CheckResult(name, True)
+                yield f"{src} vs {dst} at degree {deg}"
 
 
-def check_series_inverses(bound: int) -> CheckResult:
-    name = f"A*B = C*D = unit and inverse(C) = D (degree <= {bound})"
+@_check("A*B = C*D = unit and inverse(C) = D (degree <= %d)", 8)
+def check_series_inverses(bound: int) -> Iterator[str]:
     a = littlewood_series("A", bound)
     b = littlewood_series("B", bound)
     c = littlewood_series("C", bound)
@@ -280,38 +284,37 @@ def check_series_inverses(bound: int) -> CheckResult:
         for deg in range(bound + 1):
             expect = SchurElement.one() if deg == 0 else SchurElement.zero()
             if prod.term(deg) != expect:
-                return CheckResult(name, False, f"{label} degree {deg}")
+                yield f"{label} degree {deg}"
     inv = series_inverse(c, bound)
     for deg in range(bound + 1):
         if inv.term(deg) != d.term(deg):
-            return CheckResult(name, False, f"inverse(C) vs D at degree {deg}")
-    return CheckResult(name, True)
+            yield f"inverse(C) vs D at degree {deg}"
 
 
-def check_delta_double_prime(bound: int) -> CheckResult:
-    name = f"split coproduct of D and B is diagonal (degree <= {bound})"
+@_check("split coproduct of D and B is diagonal (degree <= %d)", 6)
+def check_delta_double_prime(bound: int) -> Iterator[str]:
     for series in ("D", "B"):
         t = littlewood_series(series, bound)
         defects = delta_double_prime(t, bound).diagonal_defects(bound)
         if defects:
-            return CheckResult(name, False, f"{series}: first defect {defects[0]}")
-    return CheckResult(name, True)
+            yield f"{series}: first defect {defects[0]}"
 
 
 def suite_series(max_degree: int | None = None) -> list[CheckResult]:
-    return [
-        check_bd_supports(_cap(8, max_degree)),
-        check_ca_oracle(_cap(8, max_degree)),
-        check_conjugation_duality(_cap(8, max_degree)),
-        check_series_inverses(_cap(8, max_degree)),
-        check_delta_double_prime(_cap(6, max_degree)),
-    ]
+    return _suite(
+        max_degree,
+        check_bd_supports,
+        check_ca_oracle,
+        check_conjugation_duality,
+        check_series_inverses,
+        check_delta_double_prime,
+    )
 
 
 # -- Hopf axioms in Symm ------------------------------------------------------
 
-def check_symm_duality(bound: int) -> CheckResult:
-    name = f"product/skew/coproduct duality (weight <= {bound})"
+@_check("product/skew/coproduct duality (weight <= %d)", 7)
+def check_symm_duality(bound: int) -> Iterator[str]:
     for nu in partitions_up_to(bound):
         cop = SchurElement.basis(nu).coproduct()
         table = dict(cop.items())
@@ -322,16 +325,13 @@ def check_symm_duality(bound: int) -> CheckResult:
                 seen[(lam, mu)] = c
                 prod = SchurElement.basis(lam) * SchurElement.basis(mu)
                 if prod.coefficient(nu) != c:
-                    return CheckResult(
-                        name, False, f"scalar vs skew at nu={nu}, lambda={lam}, mu={mu}"
-                    )
+                    yield f"scalar vs skew at nu={nu}, lambda={lam}, mu={mu}"
         if {k: v for k, v in table.items() if v} != seen:
-            return CheckResult(name, False, f"coproduct table of nu={nu}")
-    return CheckResult(name, True)
+            yield f"coproduct table of nu={nu}"
 
 
-def check_schur_identity(bound: int) -> CheckResult:
-    name = f"alternating skew identity collapses (weight <= {bound})"
+@_check("alternating skew identity collapses (weight <= %d)", 8)
+def check_schur_identity(bound: int) -> Iterator[str]:
     for nu in partitions_up_to(bound):
         total = SchurElement.zero()
         base = SchurElement.basis(nu)
@@ -340,12 +340,11 @@ def check_schur_identity(bound: int) -> CheckResult:
             total = total + term * (-1 if mu.weight % 2 else 1)
         expect = SchurElement.one() if nu.weight == 0 else SchurElement.zero()
         if total != expect:
-            return CheckResult(name, False, f"nu={nu}: got {total}")
-    return CheckResult(name, True)
+            yield f"nu={nu}: got {total}"
 
 
-def check_symm_antipode(bound: int) -> CheckResult:
-    name = f"antipode identity, both sides (weight <= {bound})"
+@_check("antipode identity, both sides (weight <= %d)", 7)
+def check_symm_antipode(bound: int) -> Iterator[str]:
     for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
         expect = SchurElement.one() if p.weight == 0 else SchurElement.zero()
@@ -355,12 +354,11 @@ def check_symm_antipode(bound: int) -> CheckResult:
             left = left + SchurElement.basis(a).antipode() * SchurElement.basis(b) * c
             right = right + SchurElement.basis(a) * SchurElement.basis(b).antipode() * c
         if left != expect or right != expect:
-            return CheckResult(name, False, f"basis element {p}")
-    return CheckResult(name, True)
+            yield f"basis element {p}"
 
 
-def check_symm_counitarity(bound: int) -> CheckResult:
-    name = f"counit is a two-sided counit (weight <= {bound})"
+@_check("counit is a two-sided counit (weight <= %d)", 8)
+def check_symm_counitarity(bound: int) -> Iterator[str]:
     for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
         left = SchurElement.zero()
@@ -369,8 +367,7 @@ def check_symm_counitarity(bound: int) -> CheckResult:
             left = left + SchurElement.basis(b) * (c * SchurElement.basis(a).counit())
             right = right + SchurElement.basis(a) * (c * SchurElement.basis(b).counit())
         if left != x or right != x:
-            return CheckResult(name, False, f"basis element {p}")
-    return CheckResult(name, True)
+            yield f"basis element {p}"
 
 
 def _triple_table(x: SchurElement, first: bool) -> dict:
@@ -383,20 +380,19 @@ def _triple_table(x: SchurElement, first: bool) -> dict:
     return out
 
 
-def check_coassociativity(bound: int) -> CheckResult:
-    name = f"coproduct is coassociative and cocommutative (weight <= {bound})"
+@_check("coproduct is coassociative and cocommutative (weight <= %d)", 6)
+def check_coassociativity(bound: int) -> Iterator[str]:
     for p in partitions_up_to(bound):
         x = SchurElement.basis(p)
         if _triple_table(x, True) != _triple_table(x, False):
-            return CheckResult(name, False, f"basis element {p}")
+            yield f"basis element {p}"
         cop = x.coproduct()
         if cop != cop.swap():
-            return CheckResult(name, False, f"cocommutativity fails at {p}")
-    return CheckResult(name, True)
+            yield f"cocommutativity fails at {p}"
 
 
-def check_compatibility(bound: int) -> CheckResult:
-    name = f"coproduct is an algebra map (total weight <= {bound})"
+@_check("coproduct is an algebra map (total weight <= %d)", 6)
+def check_compatibility(bound: int) -> Iterator[str]:
     for total in range(bound + 1):
         for wa in range(total + 1):
             for lam in partitions_of(wa):
@@ -406,12 +402,11 @@ def check_compatibility(bound: int) -> CheckResult:
                     lhs = (x * y).coproduct()
                     rhs = x.coproduct() * y.coproduct()
                     if lhs != rhs:
-                        return CheckResult(name, False, f"lambda={lam}, mu={mu}")
-    return CheckResult(name, True)
+                        yield f"lambda={lam}, mu={mu}"
 
 
-def check_skew_of_skew(bound: int) -> CheckResult:
-    name = f"iterated skew matches skew by the product (weight <= {bound})"
+@_check("iterated skew matches skew by the product (weight <= %d)", 7)
+def check_skew_of_skew(bound: int) -> Iterator[str]:
     shapes = [partitions_of(w) for w in range(bound + 1)]
     for wl in range(bound + 1):
         for lam in shapes[wl]:
@@ -425,14 +420,11 @@ def check_skew_of_skew(bound: int) -> CheckResult:
                             lhs = x_mu.skew(nu)
                             rhs = x.skew(s_mu * SchurElement.basis(nu))
                             if lhs != rhs:
-                                return CheckResult(
-                                    name, False, f"lambda={lam}, mu={mu}, nu={nu}"
-                                )
-    return CheckResult(name, True)
+                                yield f"lambda={lam}, mu={mu}, nu={nu}"
 
 
-def check_skew_of_product(bound: int) -> CheckResult:
-    name = f"skew of a product expands by paired skews (total weight <= {bound})"
+@_check("skew of a product expands by paired skews (total weight <= %d)", 6)
+def check_skew_of_product(bound: int) -> Iterator[str]:
     shapes = [partitions_of(w) for w in range(bound + 1)]
     up_to = [partitions_up_to(w) for w in range(bound + 1)]
     # rho -> [(sigma, tau, c^rho_{sigma,tau})] over the nonzero coefficients
@@ -461,16 +453,13 @@ def check_skew_of_product(bound: int) -> CheckResult:
                             for sigma, tau, c in splits[rho]:
                                 rhs = rhs + (skew(mu, sigma) * skew(nu, tau)) * c
                             if lhs != rhs:
-                                return CheckResult(
-                                    name, False, f"mu={mu}, nu={nu}, rho={rho}"
-                                )
-    return CheckResult(name, True)
+                                yield f"mu={mu}, nu={nu}, rho={rho}"
 
 
 # -- Hopf axioms in the O/Sp character rings ---------------------------------
 
-def check_char_counitarity(bound: int) -> CheckResult:
-    name = f"character counit is two-sided (weight <= {bound})"
+@_check("character counit is two-sided (weight <= %d)", 5)
+def check_char_counitarity(bound: int) -> Iterator[str]:
     for basis in (Basis.O, Basis.SP):
         for p in partitions_up_to(bound):
             x = CharElement.basis_element(basis, p)
@@ -482,12 +471,11 @@ def check_char_counitarity(bound: int) -> CheckResult:
                 left = left + CharElement.basis_element(basis, b) * (c * ea)
                 right = right + CharElement.basis_element(basis, a) * (c * eb)
             if left != x or right != x:
-                return CheckResult(name, False, f"{x}")
-    return CheckResult(name, True)
+                yield f"{x}"
 
 
-def check_char_antipode(bound: int) -> CheckResult:
-    name = f"character antipode identity, both sides (weight <= {bound})"
+@_check("character antipode identity, both sides (weight <= %d)", 5)
+def check_char_antipode(bound: int) -> Iterator[str]:
     for basis in (Basis.O, Basis.SP):
         unit = CharElement.basis_element(basis, Partition(()))
         for p in partitions_up_to(bound):
@@ -501,44 +489,36 @@ def check_char_antipode(bound: int) -> CheckResult:
                 left = left + char_multiply(sa, CharElement.basis_element(basis, b)) * c
                 right = right + char_multiply(CharElement.basis_element(basis, a), sb) * c
             if left != expect or right != expect:
-                return CheckResult(
-                    name, False, f"{x}: folded to {left} and {right}, expected {expect}"
-                )
-    return CheckResult(name, True)
+                yield f"{x}: folded to {left} and {right}, expected {expect}"
 
 
 def suite_hopf(max_degree: int | None = None) -> list[CheckResult]:
-    return [
-        check_symm_duality(_cap(7, max_degree)),
-        check_schur_identity(_cap(8, max_degree)),
-        check_symm_antipode(_cap(7, max_degree)),
-        check_symm_counitarity(_cap(8, max_degree)),
-        check_coassociativity(_cap(6, max_degree)),
-        check_compatibility(_cap(6, max_degree)),
-        check_skew_of_skew(_cap(7, max_degree)),
-        check_skew_of_product(_cap(6, max_degree)),
-        check_char_counitarity(_cap(5, max_degree)),
-        check_char_antipode(_cap(5, max_degree)),
-    ]
+    return _suite(
+        max_degree,
+        check_symm_duality,
+        check_schur_identity,
+        check_symm_antipode,
+        check_symm_counitarity,
+        check_coassociativity,
+        check_compatibility,
+        check_skew_of_skew,
+        check_skew_of_product,
+        check_char_counitarity,
+        check_char_antipode,
+    )
 
 
 # -- Cauchy kernels -----------------------------------------------------------
 
+@_check("Cauchy kernels in %d+%d variables (degree <= %d)")
+def check_cauchy(nx: int, ny: int, deg: int) -> Iterator[str]:
+    if not verify_cauchy(nx, ny, deg):
+        yield "truncated expansions differ"
+
+
 def suite_cauchy(max_degree: int | None = None) -> list[CheckResult]:
     cases = [(1, 1, 4), (2, 2, 4), (3, 2, 4), (3, 3, 3), (0, 2, 3)]
-    out = []
-    for nx, ny, deg in cases:
-        if max_degree is not None:
-            deg = min(deg, max_degree)
-        ok = verify_cauchy(nx, ny, deg)
-        out.append(
-            CheckResult(
-                f"Cauchy kernels in {nx}+{ny} variables (degree <= {deg})",
-                ok,
-                "" if ok else "truncated expansions differ",
-            )
-        )
-    return out
+    return [check_cauchy(nx, ny, _cap(deg, max_degree)) for nx, ny, deg in cases]
 
 
 SUITES = {

@@ -159,6 +159,19 @@ def test_both_growth_directions_match_the_enumerator():
                 assert _lrkernel_py.product_coefficient(mu, lam, nu) == c, (mu, lam, nu)
 
 
+def test_single_coefficients_match_the_enumerator_on_every_triple():
+    # lr.lr_coefficient refuses mismatched weights and a nu that does not
+    # contain both factors before it calls the kernel; the kernel itself
+    # must still read 0 for them.
+    shapes = [tuple(p) for p in partitions_up_to(5)]
+    for lam in shapes:
+        for mu in shapes:
+            for nu in shapes:
+                expected = lr_enumerator.product_coefficient(lam, mu, nu)
+                assert _lrkernel_py.product_coefficient(lam, mu, nu) == expected, (
+                    lam, mu, nu)
+
+
 def test_the_content_is_the_factor_with_fewer_rows(monkeypatch):
     # one label step per row of the content: (1^8).(8) grows 1^8 by the one
     # row (8) in either order, and a tie on rows goes to the lighter factor

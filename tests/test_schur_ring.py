@@ -22,6 +22,7 @@ def test_construction_and_equality():
     y = SchurElement([(P((1, 1)), 2), (P((2,)), 1)])
     assert x == y
     assert SchurElement({P((1,)): 0}) == SchurElement.zero()
+    assert SchurElement([((1,), 1), ((1,), -1)]) == SchurElement.zero()
 
 
 def test_construction_rejects_non_integer_coefficients():
@@ -140,6 +141,12 @@ def test_tensor_multiply_slotwise():
     assert sq == expect
     unit = TensorElement.pure(s(P(())), s(P(())))
     assert unit * t == t
+    # the two (1)(x)(1) terms cancel as the product is accumulated
+    s1, one = s(P((1,))), s(P(()))
+    x = TensorElement.pure(s1, one) - TensorElement.pure(one, s1)
+    y = TensorElement.pure(one, s1) + TensorElement.pure(s1, one)
+    assert str(x * y) == "{2}⊗{0}+{1^2}⊗{0}-{0}⊗{2}-{0}⊗{1^2}"
+    assert (P((1,)), P((1,))) not in dict((x * y).items())
 
 
 def test_tensor_left_component():
