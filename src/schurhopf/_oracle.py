@@ -26,11 +26,10 @@ point, since these routines referee it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from operator import add
 
-from .partition import Partition, partitions_of
+from .partition import Partition, memo, partitions_of
 
 
 def horizontal_extensions(mu, cap):
@@ -78,7 +77,7 @@ def poly_one(nvars: int) -> dict:
     return {(0,) * nvars: 1}
 
 
-@lru_cache(maxsize=None)
+@memo
 def schur_polynomial(lam: tuple, nvars: int) -> dict:
     """The Schur polynomial s_lam(x_1..x_nvars) as an exponent-tuple dict.
 
@@ -102,7 +101,7 @@ def schur_polynomial(lam: tuple, nvars: int) -> dict:
     return table.get(lam, {})
 
 
-@lru_cache(maxsize=None)
+@memo
 def kostka_row(lam: tuple) -> dict[tuple, int]:
     """The Kostka numbers K_{lam,mu}, keyed by every partition mu of |lam|
     for which they are nonzero.

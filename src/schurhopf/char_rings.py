@@ -35,22 +35,20 @@ coefficient of each unordered pair (p, q) over every sigma, since
 s_p.s_q = s_q.s_p, and then expands each pair's product once.
 
 The structure constants of CharO and CharSp and the change-of-basis tables
-do not depend on n, just as the LR coefficients do not, so they are cached
-here the way `lr` caches its tables, in bounded LRU caches of `lr`'s size:
-`_newell_littlewood(lam, mu)` holds [lam].[mu] per ordered pair, one table
-that O and Sp share, and `_conversion(source, lam, to)` holds the basis
-character lam of `source` rewritten in `to`.  `convert` adds c times that
-table over the terms c.lam of its argument, for the antipode and the
-branchings too; the coproduct reads it for its right slot.  set_weight_limit
-empties both caches (`clear_caches`), so no table computed under another
-limit is served.  `tensor_product_generic` is not cached, so the verify suite's
-generic-engine check compares two independent computations.
+do not depend on n, just as the LR coefficients do not, so they are memoized
+the way `lr`'s tables are: `_newell_littlewood(lam, mu)` holds [lam].[mu]
+per ordered pair, one table that O and Sp share, and
+`_conversion(source, lam, to)` holds the basis character lam of `source`
+rewritten in `to`.  `convert` adds c times that table over the terms c.lam
+of its argument, for the antipode and the branchings too; the coproduct
+reads it for its right slot.  `tensor_product_generic` is not cached, so the
+verify suite's generic-engine check compares two independent computations.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache, partial
+from functools import partial
 from typing import Iterable, Mapping
 
 from . import lr
@@ -59,7 +57,7 @@ from .partition import (
     Partition,
     _unchecked,
     get_weight_limit,
-    on_weight_limit_change,
+    memo,
     subpartitions,
 )
 from .schur_ring import PairTable, SchurElement, TermTable, _add_scaled, _merge
@@ -185,7 +183,7 @@ def convert(x: CharElement, to: Basis | str) -> CharElement:
     return CharElement._trusted(table, to)
 
 
-@lru_cache(maxsize=lr._CACHE_SIZE)
+@memo
 def _conversion(source: Basis, lam: Partition, to: Basis) -> dict[Partition, int]:
     """The basis character lam of `source`, rewritten in `to`: {lam} skewed
     by the series out of source, then by the one into to."""
@@ -220,7 +218,7 @@ def tensor_product(lam, mu, basis: Basis | str) -> CharElement:
     return CharElement._trusted(product(lam, mu), basis)
 
 
-@lru_cache(maxsize=lr._CACHE_SIZE)
+@memo
 def _newell_littlewood(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """[lam].[mu] in O, which is also <lam>.<mu> in Sp: the contraction over
     every sigma inside both factors, i.e. inside their row-wise meet."""
@@ -331,18 +329,3 @@ def char_antipode(x: CharElement) -> CharElement:
     _expect(x, CharElement)
     conj = x.as_schur_element().antipode()
     return convert(CharElement._trusted(conj._terms, _PARTNER[x.basis]), x.basis)
-
-
-def cache_info():
-    return {
-        "tensor": _newell_littlewood.cache_info(),
-        "convert": _conversion.cache_info(),
-    }
-
-
-def clear_caches() -> None:
-    _newell_littlewood.cache_clear()
-    _conversion.cache_clear()
-
-
-on_weight_limit_change(clear_caches)

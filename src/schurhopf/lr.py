@@ -3,8 +3,8 @@
 Front end over the kernel in _lrkernel_py, which computes every product,
 skew and single coefficient.
 
-Every expansion is memoized in a bounded LRU cache because series and
-character-ring work re-query the same small products constantly.  The caches
+Every expansion is memoized (`partition.memo`) because series and
+character-ring work re-query the same small products constantly.  The memos
 hold finished {Partition: int} tables, built once per miss from kernel
 output that is trusted as it stands, with one shared Partition per distinct
 shape as keys and no zero coefficients.  Coefficients are exact Python
@@ -17,9 +17,8 @@ one entry and one kernel call.
 The weight limit is checked where a table is computed: on a miss, before
 the kernel runs, a factor or outer shape over the limit raises the API
 boundary's "partition weight" error and a product over it "product weight",
-naming the factors in argument order.  set_weight_limit empties the caches,
-so every hit was computed under the current limit.  A miss that raises still
-counts as a miss in cache_info.
+naming the factors in argument order.  A miss that raises still counts as a
+miss in cache_info.
 
 The cached tables are shared under the rule stated in schur_ring's
 docstring.  product_expansion and skew_expansion are the API boundary: they
@@ -33,13 +32,9 @@ the outer one's check covers both.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import _lrkernel_py as _kernel
 from .errors import WeightLimitError
-from .partition import Partition, _unchecked, get_weight_limit, on_weight_limit_change
-
-_CACHE_SIZE = 1 << 17
+from .partition import Partition, _unchecked, get_weight_limit, memo
 
 
 def kernel_name() -> str:
@@ -47,7 +42,7 @@ def kernel_name() -> str:
     return "python"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@memo
 def _shape(parts: tuple) -> Partition:
     # The tables repeat a few shapes over and over: one pass of the
     # benchmark's lr_cold workload builds 15,944 keys of 551 distinct shapes.
@@ -70,18 +65,18 @@ def _product_terms(lam: Partition, mu: Partition) -> dict[Partition, int]:
     raise error
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@memo
 def _product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     _check_result_weight(sum(lam) + sum(mu))
     return _finished(_kernel.expand_product(lam, mu))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@memo
 def _coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _kernel.product_coefficient(lam, mu, nu)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@memo
 def _skew_terms(outer: Partition, inner: Partition) -> dict[Partition, int]:
     if sum(outer) > get_weight_limit():
         Partition(outer)
@@ -149,13 +144,3 @@ def cache_info():
         "skew": _skew_terms.cache_info(),
         "coefficient": _coefficient.cache_info(),
     }
-
-
-def clear_caches() -> None:
-    _product.cache_clear()
-    _skew_terms.cache_clear()
-    _coefficient.cache_clear()
-    _shape.cache_clear()
-
-
-on_weight_limit_change(clear_caches)

@@ -14,10 +14,18 @@ from trusted ones (conjugation, enumeration, the LR kernel) wraps them with
 _unchecked, which skips every check.  Its contract is that the caller
 guarantees a weakly decreasing tuple of positive ints whose weight is within
 the limit.
+
+Every module-level memo in the package is made by `memo`, here next to the
+limit it depends on: a functools.lru_cache of one bounded size, entered in
+one registry.  `clear_caches` empties every registered memo, and
+set_weight_limit calls it, so no table computed under another limit is
+served.  A memo owned by one call or one object (a SchurSeries's terms) is
+not registered; it dies with its owner.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError, PartitionError, WeightLimitError, _expect
@@ -25,7 +33,21 @@ from .errors import InvalidArgumentError, PartitionError, WeightLimitError, _exp
 DEFAULT_WEIGHT_LIMIT = 64
 
 _weight_limit = DEFAULT_WEIGHT_LIMIT
-_limit_hooks: tuple = ()
+_memos: tuple = ()
+
+
+def memo(fn):
+    """fn memoized in a bounded LRU cache that clear_caches empties."""
+    global _memos
+    cached = lru_cache(maxsize=1 << 17)(fn)
+    _memos += (cached,)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every memo in the package, as in a fresh process."""
+    for cached in _memos:
+        cached.cache_clear()
 
 
 def get_weight_limit() -> int:
@@ -41,16 +63,7 @@ def set_weight_limit(limit: int) -> None:
             f"weight limit must be a nonnegative int, got {limit!r}"
         )
     _weight_limit = limit
-    for hook in _limit_hooks:
-        hook()
-
-
-def on_weight_limit_change(hook) -> None:
-    """Call hook() after every set_weight_limit.  lr, series and char_rings
-    empty their caches this way, so none serves a table computed under
-    another limit."""
-    global _limit_hooks
-    _limit_hooks += (hook,)
+    clear_caches()
 
 
 class Partition(tuple):
@@ -120,8 +133,8 @@ class Partition(tuple):
 
     @classmethod
     def from_frobenius(cls, arms: Iterable[int], legs: Iterable[int]) -> "Partition":
-        arms = tuple(arms)
-        legs = tuple(legs)
+        arms = _int_parts(arms)
+        legs = _int_parts(legs)
         if len(arms) != len(legs):
             raise PartitionError("arm and leg lists must have equal length")
         rank = len(arms)

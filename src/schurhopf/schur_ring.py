@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import lr
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _expect
 from .partition import (
     Partition,
     format_partition,
@@ -260,6 +260,7 @@ class SchurElement(TermTable):
         return max((p.weight for p in self._terms), default=0)
 
     def homogeneous_component(self, d: int) -> "SchurElement":
+        _expect(d, int)
         return SchurElement._trusted(
             {p: c for p, c in self._terms.items() if p.weight == d}
         )
@@ -290,6 +291,7 @@ class SchurElement(TermTable):
 
     def scalar_product(self, other: "SchurElement") -> int:
         """The Hall pairing; Schur functions are orthonormal."""
+        _expect(other, SchurElement)
         if len(other._terms) < len(self._terms):
             self, other = other, self
         return sum(c * other._terms.get(p, 0) for p, c in self._terms.items())
@@ -335,6 +337,8 @@ class TensorElement(PairTable):
 
     @classmethod
     def pure(cls, left: SchurElement, right: SchurElement) -> "TensorElement":
+        _expect(left, SchurElement)
+        _expect(right, SchurElement)
         table: dict[tuple[Partition, Partition], int] = {}
         for a, x in left.items():
             for b, y in right.items():

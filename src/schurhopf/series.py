@@ -16,7 +16,6 @@ suite against a truncated expansion of the defining products.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 from .errors import DegreeOverflowError, InvalidArgumentError, NotInvertibleError, _expect
@@ -24,7 +23,7 @@ from .partition import (
     Partition,
     distinct_partitions_of,
     get_weight_limit,
-    on_weight_limit_change,
+    memo,
     partitions_of,
 )
 from .schur_ring import PairTable, SchurElement, TensorElement
@@ -89,7 +88,7 @@ def _series_key(name) -> str:
     return key
 
 
-@lru_cache(maxsize=None)
+@memo
 def series_term(name: str, d: int) -> SchurElement:
     """Degree-d term of a named Littlewood series (A, B, C or D)."""
     key = _series_key(name)
@@ -117,11 +116,6 @@ def series_term(name: str, d: int) -> SchurElement:
             arms, legs = legs, arms
         table[Partition.from_frobenius(arms, legs)] = sign
     return SchurElement(table)
-
-
-# A term of degree d is built from shapes of weight d, so one built under a
-# higher limit must not outlive it.
-on_weight_limit_change(series_term.cache_clear)
 
 
 def littlewood_series(name: str, cutoff: int = DEFAULT_CUTOFF) -> SchurSeries:
@@ -228,6 +222,7 @@ class TensorSeriesCoefficients(PairTable):
         """Entries violating b_{sigma,tau} = delta_{sigma,tau}, as witnesses,
         through total degree `through` (the cutoff by default)."""
         limit = self.cutoff if through is None else through
+        _expect(limit, int)
         if limit > self.cutoff:
             raise DegreeOverflowError(
                 f"defects through degree {limit} asked of a table with cutoff {self.cutoff}"

@@ -297,7 +297,8 @@ def check_delta_double_prime(bound: int) -> Iterator[str]:
         t = littlewood_series(series, bound)
         defects = delta_double_prime(t, bound).diagonal_defects(bound)
         if defects:
-            yield f"{series}: first defect {defects[0]}"
+            (sigma, tau), c = defects[0]
+            yield f"{series}: first defect sigma={sigma}, tau={tau}, coefficient {c}"
 
 
 def suite_series(max_degree: int | None = None) -> list[CheckResult]:

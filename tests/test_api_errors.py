@@ -91,6 +91,20 @@ TYPED_ERRORS = {
     "set_weight_limit(True)": (lambda: set_weight_limit(True), InvalidArgumentError),
     "set_weight_limit(-1)": (lambda: set_weight_limit(-1), InvalidArgumentError),
     "run_suite('bogus')": (lambda: run_suite("bogus"), InvalidArgumentError),
+    "Partition.from_frobenius with a text leg": (
+        lambda: Partition.from_frobenius((1,), ("a",)), PartitionError
+    ),
+    "TensorElement.pure of ints": (lambda: TensorElement.pure(1, 2), InvalidArgumentError),
+    "scalar_product with an int": (
+        lambda: SchurElement.one().scalar_product(3), InvalidArgumentError
+    ),
+    "diagonal_defects through text": (
+        lambda: schurhopf.delta_double_prime(littlewood_series("D", 4)).diagonal_defects("x"),
+        InvalidArgumentError,
+    ),
+    "homogeneous_component of text": (
+        lambda: SchurElement.one().homogeneous_component("x"), InvalidArgumentError
+    ),
 }
 
 

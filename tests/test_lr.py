@@ -5,7 +5,13 @@ import lr_enumerator
 from schurhopf import _lrkernel_py, _oracle
 from schurhopf import lr
 from schurhopf.errors import WeightLimitError
-from schurhopf.partition import Partition, partitions_of, partitions_up_to, set_weight_limit
+from schurhopf.partition import (
+    Partition,
+    clear_caches,
+    partitions_of,
+    partitions_up_to,
+    set_weight_limit,
+)
 from schurhopf.schur_ring import SchurElement
 
 
@@ -182,12 +188,12 @@ def test_product_weight_limit_is_graceful():
 
 
 def test_cache_utilities():
-    lr.clear_caches()
+    clear_caches()
     lr.product_expansion(P((2, 1)), P((1,)))
     info = lr.cache_info()
     assert set(info) == {"product", "skew", "coefficient"}
     assert any(v.misses > 0 for v in info.values())
-    lr.clear_caches()
+    clear_caches()
     info = lr.cache_info()
     assert all(v.hits == 0 and v.misses == 0 for v in info.values())
 
@@ -195,7 +201,7 @@ def test_cache_utilities():
 def test_lone_coefficient_does_not_expand_the_product():
     # the full product of two weight-15 staircases costs the pure kernel
     # 50-130 times as much as counting the tableaux of one shape nu/lam
-    lr.clear_caches()
+    clear_caches()
     stair = P((5, 4, 3, 2, 1))
     assert lr.lr_coefficient(stair, stair, P((6, 6, 5, 5, 4, 2, 2))) == 36
     assert lr.cache_info()["product"].misses == 0
@@ -203,7 +209,7 @@ def test_lone_coefficient_does_not_expand_the_product():
 
 
 def test_tables_share_one_key_per_shape():
-    lr.clear_caches()
+    clear_caches()
     a = lr.product_expansion(P((2, 1)), P((1,)))
     b = lr.product_expansion(P((3,)), P((1,)))
     c = lr.skew_expansion(P((4, 2)), P((1, 1)))
@@ -217,7 +223,7 @@ def test_kernel_name_reports_backend():
 
 
 def test_returned_tables_are_fresh_copies():
-    lr.clear_caches()
+    clear_caches()
     prod = lr.product_expansion(P((2, 1)), P((1,)))
     expect = dict(prod)
     prod[P((9,))] = 7
@@ -244,7 +250,7 @@ def test_tuple_and_partition_inputs_agree(lam, mu):
 
 
 def test_coefficient_cache_is_shared_by_both_orders():
-    lr.clear_caches()
+    clear_caches()
     lam, mu, nu = P((3, 1)), P((2, 2)), P((4, 3, 1))
     assert lr.lr_coefficient(lam, mu, nu) == lr.lr_coefficient(mu, lam, nu) == 1
     info = lr.cache_info()["coefficient"]
@@ -253,7 +259,7 @@ def test_coefficient_cache_is_shared_by_both_orders():
 
 def test_product_cache_is_shared_by_both_orders():
     a, b = P((3, 1)), P((2, 2))
-    lr.clear_caches()
+    clear_caches()
     ab = lr.product_expansion(a, b)
     ba = lr.product_expansion(b, a)
     info = lr.cache_info()["product"]
@@ -264,7 +270,7 @@ def test_product_cache_is_shared_by_both_orders():
     ab[P((9,))] = 7
     ba.clear()
     assert lr.product_expansion(a, b) == lr.product_expansion(b, a) == expect
-    lr.clear_caches()
+    clear_caches()
     x, y = SchurElement.basis(a), SchurElement.basis(b)
     assert dict((x * y).items()) == dict((y * x).items()) == expect
     info = lr.cache_info()["product"]
@@ -275,7 +281,7 @@ def test_both_product_orders_match_the_enumerator():
     # Each order is read from the entry the opposite order filled, so this
     # referees the shared table in the direction it is asked for.
     shapes = partitions_up_to(5)
-    lr.clear_caches()
+    clear_caches()
     for lam in shapes:
         for mu in shapes:
             lr.product_expansion(mu, lam)
@@ -301,7 +307,7 @@ def test_each_cache_miss_makes_one_kernel_call(monkeypatch):
             return kernel(*args)
 
         monkeypatch.setattr(_lrkernel_py, name, counted)
-    lr.clear_caches()
+    clear_caches()
     shapes = partitions_up_to(4)
     for lam in shapes:
         for mu in shapes:

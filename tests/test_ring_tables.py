@@ -31,6 +31,7 @@ from schurhopf.char_rings import (
 from schurhopf.errors import BasisMismatchError, WeightLimitError
 from schurhopf.partition import (
     Partition,
+    clear_caches,
     get_weight_limit,
     partitions_up_to,
     set_weight_limit,
@@ -246,7 +247,7 @@ def _outcomes_at_limit_10(warm):
         if warm:
             run()
         else:
-            char_rings.clear_caches()
+            clear_caches()
         set_weight_limit(10)
         try:
             run()
@@ -267,12 +268,12 @@ def test_char_ring_tables_are_not_served_under_a_lower_limit():
 def test_set_weight_limit_empties_the_char_ring_caches():
     for run in WARM_CASES.values():
         run()
-    assert all(info.currsize for info in char_rings.cache_info().values())
+    memos = (char_rings._newell_littlewood, char_rings._conversion)
+    assert all(memo.cache_info().currsize for memo in memos)
     old = get_weight_limit()
     set_weight_limit(old)
-    info = char_rings.cache_info()
-    assert set(info) == {"tensor", "convert"}
-    assert all(v.currsize == v.hits == v.misses == 0 for v in info.values())
+    infos = [memo.cache_info() for memo in memos]
+    assert all(v.currsize == v.hits == v.misses == 0 for v in infos)
 
 
 def _sigmas_inside_both(lam, mu):
@@ -289,7 +290,7 @@ def test_cached_tensor_tables_match_a_fresh_contraction():
         for mu in shapes:
             for basis in (Basis.O, Basis.SP):
                 cached[lam, mu, basis] = tensor_product(lam, mu, basis)
-    char_rings.clear_caches()
+    clear_caches()
     for (lam, mu, basis), got in cached.items():
         assert got.basis is basis
         fresh = _contract(lam, mu, _sigmas_inside_both(lam, mu))
@@ -316,23 +317,24 @@ def test_cached_conversions_match_the_series_skews():
 
 
 def test_a_repeated_call_is_a_cache_hit():
-    char_rings.clear_caches()
+    clear_caches()
     calls = {
         "tensor": lambda: tensor_product((3, 1), (2, 2), Basis.SP),
         "convert": lambda: convert(CharElement(Basis.O, {(3, 1): 2, (1,): -1}), Basis.SP),
     }
+    memos = {"tensor": char_rings._newell_littlewood, "convert": char_rings._conversion}
     for table, run in calls.items():
         first = run()
-        before = char_rings.cache_info()[table]
+        before = memos[table].cache_info()
         second = run()
-        after = char_rings.cache_info()[table]
+        after = memos[table].cache_info()
         assert second == first, table
         assert after.hits > before.hits, table
         assert after.misses == before.misses, table
     # O and Sp read one tensor table
-    before = char_rings.cache_info()["tensor"]
+    before = memos["tensor"].cache_info()
     o = tensor_product((3, 1), (2, 2), Basis.O)
-    assert char_rings.cache_info()["tensor"].hits == before.hits + 1
+    assert memos["tensor"].cache_info().hits == before.hits + 1
     assert dict(o.items()) == dict(calls["tensor"]().items())
 
 
@@ -378,7 +380,7 @@ def test_shared_tables_stay_intact(monkeypatch):
     # coefficients and results that wrap cached tables, then read every
     # table back: lr's through the copying API, char_rings' against a fresh
     # contraction and the plain series skews.
-    char_rings.clear_caches()
+    clear_caches()
     tensor, tensor_keys = _recorded(monkeypatch, "_newell_littlewood")
     conversion, conversion_keys = _recorded(monkeypatch, "_conversion")
     verify.run_suite("all", 4)

@@ -237,7 +237,7 @@ FORCED_FAILURES = [
         "check_delta_double_prime", (4,), "delta_double_prime",
         lambda t, bound: delta_double_prime(littlewood_series("A", bound), bound),
         CheckResult("split coproduct of D and B is diagonal (degree <= 4)", False,
-                    "D: first defect ((Partition(1,), Partition(1,)), -1)"),
+                    "D: first defect sigma=1, tau=1, coefficient -1"),
         id="delta_double_prime",
     ),
     pytest.param(
