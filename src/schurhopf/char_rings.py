@@ -28,21 +28,19 @@ coefficients, branchings and tensor products cannot.
 `CharElement` and `CharTensorElement` are the term tables of `schur_ring`
 (`TermTable`, `PairTable`) tagged with their basis by `BasisTagged`; the tag
 adds the basis check, the brackets and the JSON "basis" field.  The ring maps
-below build their results with `_trusted(table, basis)` and read cached tables
-directly, under the sharing rule in `schur_ring`'s docstring.  Both tensor
-products are one Newell-Littlewood contraction, `_contract`: it adds up the
-coefficient of each unordered pair (p, q) over every sigma, since
-s_p.s_q = s_q.s_p, and then expands each pair's product once.
+below build their results with `_trusted(table, basis)` from cached per-term
+tables, under the sharing and extension rules in `schur_ring`'s docstring.
+Both tensor products are one Newell-Littlewood contraction, `_contract`.
 
 The structure constants of CharO and CharSp and the change-of-basis tables
 do not depend on n, just as the LR coefficients do not, so they are memoized
 the way `lr`'s tables are: `_newell_littlewood(lam, mu)` holds [lam].[mu]
 per ordered pair, one table that O and Sp share, and
 `_conversion(source, lam, to)` holds the basis character lam of `source`
-rewritten in `to`.  `convert` adds c times that table over the terms c.lam
-of its argument, for the antipode and the branchings too; the coproduct
-reads it for its right slot.  `tensor_product_generic` is not cached, so the
-verify suite's generic-engine check compares two independent computations.
+rewritten in `to`.  `convert` extends that table linearly, for the antipode
+and the branchings too; the coproduct reads it for its right slot.
+`tensor_product_generic` is not cached, so the verify suite's generic-engine
+check compares two independent computations.
 """
 
 from __future__ import annotations
@@ -60,8 +58,7 @@ from .partition import (
     memo,
     subpartitions,
 )
-from .schur_ring import PairTable, SchurElement, TermTable, _add_scaled, _merge
-from .schur_ring import _from_json
+from .schur_ring import PairTable, SchurElement, TermTable, _bilinear, _from_json, _linear
 from .series import SchurSeries, _skew_by_terms, delta_double_prime, series_term
 
 
@@ -177,9 +174,7 @@ def convert(x: CharElement, to: Basis | str) -> CharElement:
     to = to if isinstance(to, Basis) else Basis.parse(to)
     if to is x.basis:
         return x
-    table: dict[Partition, int] = {}
-    for p, c in x._terms.items():
-        _add_scaled(table, _conversion(x.basis, p, to), c)
+    table = _linear(x._terms, lambda p: _conversion(x.basis, p, to))
     return CharElement._trusted(table, to)
 
 
@@ -238,6 +233,7 @@ def _contract(lam: Partition, mu: Partition, terms: list) -> dict[Partition, int
         for sigma, tau, _ in terms:
             lr._check_result_weight(total - sigma.weight - tau.weight)
     skew = lr._skew_terms
+    # Not _linear: pairs are gathered unordered first, so each product expands once.
     pairs: dict[tuple[Partition, Partition], int] = {}
     for sigma, tau, b in terms:
         left = skew(lam, sigma).items()
@@ -248,11 +244,7 @@ def _contract(lam: Partition, mu: Partition, terms: list) -> dict[Partition, int
                 key = (p, q) if p <= q else (q, p)
                 pairs[key] = pairs.get(key, 0) + bx * y
     product = lr._product_terms
-    table: dict[Partition, int] = {}
-    for (p, q), n in pairs.items():
-        if n:
-            _add_scaled(table, product(p, q), n)
-    return table
+    return _linear({pq: n for pq, n in pairs.items() if n}, lambda pq: product(*pq))
 
 
 def tensor_product_generic(lam, mu, t: SchurSeries) -> CharElement:
@@ -291,11 +283,7 @@ def char_multiply(x: CharElement, y: CharElement) -> CharElement:
     _expect(y, CharElement)
     x._check(y)
     product = lr._product_terms if x.basis is Basis.GL else _newell_littlewood
-    table: dict[Partition, int] = {}
-    for p, a in x._terms.items():
-        for q, b in y._terms.items():
-            _add_scaled(table, product(p, q), a * b)
-    return CharElement._trusted(table, x.basis)
+    return CharElement._trusted(_bilinear(x._terms, y._terms, product), x.basis)
 
 
 def char_coproduct(x: CharElement) -> CharTensorElement:
@@ -303,10 +291,12 @@ def char_coproduct(x: CharElement) -> CharTensorElement:
     x's Schur coproduct, sum (lam/zeta) (x) {zeta}, with the right slot
     {zeta} rewritten in x's basis."""
     _expect(x, CharElement)
-    table: dict[tuple[Partition, Partition], int] = {}
-    for (p, zeta), a in x.as_schur_element().coproduct().items():
-        for q, v in _conversion(Basis.GL, zeta, x.basis).items():
-            _merge(table, (p, q), a * v)
+
+    def image(key):
+        p, zeta = key
+        return {(p, q): v for q, v in _conversion(Basis.GL, zeta, x.basis).items()}
+
+    table = _linear(x.as_schur_element().coproduct()._terms, image)
     return CharTensorElement._trusted(table, x.basis)
 
 

@@ -56,30 +56,29 @@ class GaussianRational:
             return GaussianRational(v)
         return None
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    def _lifted(op):
+        """op(self, o) with the other operand lifted; NotImplemented if _lift refuses it."""
+
+        def method(self, other):
+            o = self._lift(other)
+            return NotImplemented if o is None else op(self, o)
+
+        return method
+
+    @_lifted
+    def __add__(self, o):
         return GaussianRational(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @_lifted
+    def __sub__(self, o):
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _lifted(lambda self, o: o - self)
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @_lifted
+    def __mul__(self, o):
         return GaussianRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -87,10 +86,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
+    @_lifted
+    def __truediv__(self, o):
         norm = o.re * o.re + o.im * o.im
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -99,11 +96,7 @@ class GaussianRational:
             (self.im * o.re - self.re * o.im) / norm,
         )
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+    __rtruediv__ = _lifted(lambda self, o: o / self)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -120,11 +113,7 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+    __eq__ = _lifted(lambda self, o: self.re == o.re and self.im == o.im)
 
     def __hash__(self):
         return hash(self.re) if not self.im else hash((self.re, self.im))

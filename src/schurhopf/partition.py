@@ -114,7 +114,8 @@ class Partition(tuple):
 
     def contains(self, other: Iterable[int]) -> bool:
         """Diagram containment: other fits inside self row by row."""
-        other = tuple(other)
+        if not isinstance(other, Partition):
+            other = Partition(other)
         if len(other) > len(self):
             return False
         return all(o <= s for o, s in zip(other, self))

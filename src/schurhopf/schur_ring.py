@@ -21,6 +21,15 @@ ring code builds its results with the trusted `_trusted(table, tag)` instead,
 whose caller guarantees that every key is already canonical (a `Partition`,
 or a pair of them) and that no coefficient is zero.
 
+The one extension rule of the package: every ring map is `_linear` or
+`_bilinear` over its value on basis elements, a cached per-term table (an LR
+or Newell-Littlewood product, a basis conversion) or a comprehension whose
+keys never collide (one shape's coproduct, a slotwise product).  Two loops
+stay written out: `skew` drops a pair whose inner shape outweighs the outer
+before `lr` is asked for its table, since a conversion skews each term by
+every series term up to its degree; and `char_rings._contract` gathers
+unordered pairs first, so that each product expands once.
+
 Products, skews and coproducts read the Littlewood-Richardson tables cached
 in `lr` (`lr._product_terms`, `lr._skew_terms`), not through the validating
 `lr.product_expansion`/`skew_expansion`.  `lr` checks the weight limit where
@@ -69,6 +78,23 @@ def _add_scaled(table: dict, terms: dict, k: int) -> None:
             table[r] = new
         else:
             del table[r]
+
+
+def _linear(terms: Mapping, image) -> dict:
+    """sum c * image(k) over the terms k: c, every c nonzero, as a new table."""
+    table: dict = {}
+    for k, c in terms.items():
+        _add_scaled(table, image(k), c)
+    return table
+
+
+def _bilinear(xs: Mapping, ys: Mapping, image) -> dict:
+    """sum a * b * image(p, q) over the terms p: a of xs and q: b of ys."""
+    table: dict = {}
+    for p, a in xs.items():
+        for q, b in ys.items():
+            _add_scaled(table, image(p, q), a * b)
+    return table
 
 
 def _from_json(make, obj, key):
@@ -267,11 +293,7 @@ class SchurElement(TermTable):
 
     def __mul__(self, other):
         if isinstance(other, SchurElement):
-            product = lr._product_terms
-            table: dict[Partition, int] = {}
-            for p, a in self._terms.items():
-                for q, b in other._terms.items():
-                    _add_scaled(table, product(p, q), a * b)
+            table = _bilinear(self._terms, other._terms, lr._product_terms)
             return SchurElement._trusted(table)
         return self._scaled(other)
 
@@ -280,6 +302,7 @@ class SchurElement(TermTable):
         if not isinstance(inner, SchurElement):
             inner = SchurElement.basis(inner)
         skew = lr._skew_terms
+        # Not _bilinear: the weight filter prunes a pair before lr is asked.
         right = [(q, b, sum(q)) for q, b in inner._terms.items()]
         table: dict[Partition, int] = {}
         for p, a in self._terms.items():
@@ -300,18 +323,15 @@ class SchurElement(TermTable):
         # subpartitions(nu) raises WeightLimitError past the limit, as
         # lr.skew_expansion(nu, lam) would.
         skew = lr._skew_terms
-        table: dict[tuple[Partition, Partition], int] = {}
-        get = table.get
-        for nu, a in self._terms.items():
-            for lam in subpartitions(nu):
-                for mu, c in skew(nu, lam).items():
-                    key = (lam, mu)
-                    new = get(key, 0) + a * c
-                    if new:
-                        table[key] = new
-                    else:
-                        del table[key]
-        return TensorElement._trusted(table)
+
+        def image(nu):
+            return {
+                (lam, mu): c
+                for lam in subpartitions(nu)
+                for mu, c in skew(nu, lam).items()
+            }
+
+        return TensorElement._trusted(_linear(self._terms, image))
 
     def counit(self) -> int:
         return self._terms.get(Partition(), 0)
@@ -339,33 +359,21 @@ class TensorElement(PairTable):
     def pure(cls, left: SchurElement, right: SchurElement) -> "TensorElement":
         _expect(left, SchurElement)
         _expect(right, SchurElement)
-        table: dict[tuple[Partition, Partition], int] = {}
-        for a, x in left.items():
-            for b, y in right.items():
-                _merge(table, (a, b), x * y)
-        return cls._trusted(table)
+        return cls._trusted(
+            {(a, b): x * y for a, x in left.items() for b, y in right.items()}
+        )
 
     def __mul__(self, other):
         """Slotwise product: (a (x) b)(c (x) d) = ac (x) bd."""
         if isinstance(other, TensorElement):
             product = lr._product_terms
-            table: dict[tuple[Partition, Partition], int] = {}
-            get = table.get
-            for (a, b), x in self._terms.items():
-                for (c, d), y in other._terms.items():
-                    left = product(a, c).items()
-                    right = product(b, d).items()
-                    xy = x * y
-                    for p, u in left:
-                        xyu = xy * u
-                        for q, v in right:
-                            key = (p, q)
-                            new = get(key, 0) + xyu * v
-                            if new:
-                                table[key] = new
-                            else:
-                                del table[key]
-            return TensorElement._trusted(table)
+
+            def image(ab, cd):
+                (a, b), (c, d) = ab, cd
+                right = product(b, d).items()
+                return {(p, q): u * v for p, u in product(a, c).items() for q, v in right}
+
+            return TensorElement._trusted(_bilinear(self._terms, other._terms, image))
         return self._scaled(other)
 
     def swap(self) -> "TensorElement":

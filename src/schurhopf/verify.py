@@ -38,7 +38,7 @@ from .partition import (
     partitions_up_to,
     subpartitions,
 )
-from .schur_ring import SchurElement, _merge
+from .schur_ring import SchurElement, _linear
 from .series import (
     delta_double_prime,
     littlewood_series,
@@ -373,12 +373,13 @@ def check_symm_counitarity(bound: int) -> Iterator[str]:
 
 def _triple_table(x: SchurElement, first: bool) -> dict:
     """Coefficients of (Delta x I) Delta or (I x Delta) Delta applied to x."""
-    out: dict = {}
-    for (a, b), c in x.coproduct().items():
+
+    def image(key):
+        a, b = key
         inner = SchurElement.basis(a if first else b).coproduct()
-        for (u, v), d in inner.items():
-            _merge(out, (u, v, b) if first else (a, u, v), c * d)
-    return out
+        return {((u, v, b) if first else (a, u, v)): d for (u, v), d in inner.items()}
+
+    return _linear(x.coproduct(), image)
 
 
 @_check("coproduct is coassociative and cocommutative (weight <= %d)", 6)

@@ -105,6 +105,17 @@ TYPED_ERRORS = {
     "homogeneous_component of text": (
         lambda: SchurElement.one().homogeneous_component("x"), InvalidArgumentError
     ),
+    "Partition.contains(None)": (lambda: Partition((2, 1)).contains(None), PartitionError),
+    "Partition.contains of text": (lambda: Partition((2, 1)).contains("ab"), PartitionError),
+    "Partition.contains of a float part": (
+        lambda: Partition((2, 1)).contains([1.5]), PartitionError
+    ),
+    "Partition.contains of a bool part": (
+        lambda: Partition((2, 1)).contains((True,)), PartitionError
+    ),
+    "Partition.contains of a negative part": (
+        lambda: Partition((2, 1)).contains((-1,)), PartitionError
+    ),
 }
 
 

@@ -22,7 +22,16 @@ from schurhopf.evaluate import (
 )
 from schurhopf import char_rings, evaluate, lr
 from schurhopf._oracle import pair_factor
-from schurhopf.char_rings import Basis, CharElement, convert
+from schurhopf.char_rings import (
+    Basis,
+    CharElement,
+    branch_gl_to_o,
+    branch_gl_to_sp,
+    char_coproduct,
+    char_multiply,
+    convert,
+    tensor_product,
+)
 from schurhopf.partition import Partition, partitions_up_to
 
 P = Partition
@@ -373,6 +382,77 @@ def test_character_determinant_matches_conversion_to_schur_terms(case):
     for p, c in gl.items():
         expected = expected + c * eval_schur_tableaux(p, xs)
     assert eval_character(lam, spec) == expected
+
+
+# The ring maps' referee: each map is an identity of characters, checked by
+# value at random rational points through eval_character's determinants.
+# Per basis, the group of x and of y, and the group of x + y acting on the
+# sum of their spaces with its fixed free values: SO(9) + SO(9) inside SO(18)
+# takes the free values u, v and 1, so its eigenvalues are x's and y's.
+_GROUPS = {
+    Basis.GL: ("GL(4)", "GL(8)", []),
+    Basis.O: ("SO(9)", "SO(18)", [F(1)]),
+    Basis.SP: ("Sp(8)", "Sp(16)", []),
+}
+_FREE = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    min_size=4,
+    max_size=4,
+)
+_REFEREE_PAIRS = [
+    (lam, mu)
+    for lam in partitions_up_to(8)
+    for mu in partitions_up_to(8 - lam.weight)
+    if lam.length <= 4 and mu.length <= 4
+]
+
+
+def _at(x: CharElement, spec: EigenvalueSpec):
+    """The value of x at the group element spec: by spec's determinants in
+    its own basis, by Schur polynomials of its eigenvalues in GL, and
+    through GL in the third basis."""
+    if x.basis is Basis.GL:
+        spec = EigenvalueSpec(f"GL({spec.size})", spec.eigenvalues())
+    elif x.basis is not spec.character_basis:
+        return _at(convert(x, Basis.GL), spec)
+    return sum((c * eval_character(p, spec) for p, c in x.items()), F(0))
+
+
+@given(
+    st.sampled_from(list(Basis)),
+    st.sampled_from(_REFEREE_PAIRS),
+    _FREE,
+    _FREE,
+    st.integers(-3, 3).filter(bool),
+)
+@settings(max_examples=40, deadline=5000)
+def test_ring_maps_agree_with_evaluation(basis, pair, u, v, k):
+    lam, mu = pair
+    whole = {b: EigenvalueSpec(g, u + v + fixed) for b, (_, g, fixed) in _GROUPS.items()}
+    xy = whole[basis]
+    x = EigenvalueSpec(_GROUPS[basis][0], u)
+    y = EigenvalueSpec(_GROUPS[basis][0], v)
+    chi = lambda p, b=basis: CharElement.basis_element(b, p)
+
+    # the product: chi_lam . chi_mu = sum N chi_nu
+    value = _at(chi(lam), xy) * _at(chi(mu), xy)
+    assert _at(tensor_product(lam, mu, basis), xy) == value
+    assert _at(char_multiply(k * chi(lam), chi(mu) - 2 * chi(())), xy) == k * (
+        value - 2 * _at(chi(lam), xy)
+    )
+    # the coproduct: chi_lam(x + y) = sum a chi_p(x) chi_q(y)
+    split = sum(
+        (a * _at(chi(p), x) * _at(chi(q), y) for (p, q), a in char_coproduct(chi(lam)).items()),
+        F(0),
+    )
+    assert split == _at(chi(lam), xy)
+    # conversions out of this basis, at a point of either basis's group
+    for to in Basis:
+        for point in (xy, whole[to]):
+            assert _at(convert(chi(lam), to), point) == _at(chi(lam), point)
+    # the branchings, at a point of the subgroup
+    for branch, to in ((branch_gl_to_o, Basis.O), (branch_gl_to_sp, Basis.SP)):
+        assert _at(branch(lam), whole[to]) == _at(chi(lam, Basis.GL), whole[to])
 
 
 def test_verify_cauchy():

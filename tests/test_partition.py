@@ -145,6 +145,9 @@ def test_contains():
     assert Partition((3, 1)).contains(Partition((2,)))
     assert not Partition((3, 1)).contains(Partition((1, 1, 1)))
     assert Partition((3, 1)).contains(Partition(()))
+    # a plain sequence is read as a partition: trailing zeros are dropped
+    assert Partition((3, 1)).contains((1, 0, 0, 0))
+    assert Partition((3, 1)).contains([2, 1])
 
 
 @given(partition_strategy(), partition_strategy())
