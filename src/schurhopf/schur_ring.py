@@ -23,8 +23,8 @@ or a pair of them) and that no coefficient is zero.
 
 The one extension rule of the package: every ring map is `_linear` or
 `_bilinear` over its value on basis elements, a cached per-term table (an LR
-or Newell-Littlewood product, a basis conversion) or a comprehension whose
-keys never collide (one shape's coproduct, a slotwise product).  Two loops
+or Newell-Littlewood product, a basis conversion) or a table whose keys
+never collide (one shape's coproduct, a slotwise product).  Two loops
 stay written out: `skew` drops a pair whose inner shape outweighs the outer
 before `lr` is asked for its table, since a conversion skews each term by
 every series term up to its degree; and `char_rings._contract` gathers
@@ -325,11 +325,19 @@ class SchurElement(TermTable):
         skew = lr._skew_terms
 
         def image(nu):
-            return {
-                (lam, mu): c
-                for lam in subpartitions(nu)
-                for mu, c in skew(nu, lam).items()
-            }
+            # c^nu_{lam,mu} = c^nu_{mu,lam}: skew by the inner shapes of at
+            # least half the weight, and mirror the pairs whose other slot
+            # is lighter; at exactly half, both orders are skewed.
+            weight = sum(nu)
+            table = {}
+            for lam in subpartitions(nu):
+                twice = 2 * sum(lam)
+                if twice >= weight:
+                    for mu, c in skew(nu, lam).items():
+                        table[lam, mu] = c
+                        if twice > weight:
+                            table[mu, lam] = c
+            return table
 
         return TensorElement._trusted(_linear(self._terms, image))
 

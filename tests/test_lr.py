@@ -67,6 +67,50 @@ def test_skew_expansion_examples():
     assert lr.skew_expansion(P((1,)), P((2,))) == {}
 
 
+@pytest.mark.parametrize(
+    "outer, inner, expected",
+    [
+        # an empty middle row cuts the shape: s_2 . s_2
+        ((6, 2, 2), (4, 2), {(4,): 1, (3, 1): 1, (2, 2): 1}),
+        # two shared leading columns: s_{321/1}
+        ((5, 4, 3), (3, 2, 2), {(3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}),
+        # three blocks of one row each: h_2^3, by the Kostka numbers K_{nu,222}
+        ((6, 4, 2), (4, 2), {(6,): 1, (5, 1): 2, (4, 2): 3, (4, 1, 1): 1,
+                             (3, 3): 1, (3, 2, 1): 2, (2, 2, 2): 1}),
+        # a rectangle with a ragged inner shape is straight once rotated
+        ((4, 4, 4), (3, 1), {(4, 3, 1): 1}),
+        # a walked block times a one-row block: (s_31 + s_22) . h_2
+        ((5, 3, 2), (3, 1), {(5, 1): 1, (4, 2): 2, (4, 1, 1): 1, (3, 3): 1,
+                             (3, 2, 1): 2, (2, 2, 2): 1}),
+        ((4, 2, 1), (4, 2, 1), {(): 1}),
+        ((3, 1), (2, 2), {}),
+    ],
+)
+def test_skew_normal_form_cases(outer, inner, expected):
+    assert lr.skew_expansion(outer, inner) == expected
+    assert lr_enumerator.expand_skew(outer, inner) == expected
+
+
+def test_a_skew_miss_is_one_kernel_call(monkeypatch):
+    # The benchmark's traced accounting reads kernel calls off lr's cache
+    # misses, so a skew of several blocks must multiply them inside the
+    # kernel: one expand_skew call, and no product through lr.
+    calls = []
+    kernel = _lrkernel_py.expand_skew
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_lrkernel_py, "expand_skew", counted)
+    clear_caches()
+    before = lr.cache_info()["product"]
+    lr.skew_expansion((6, 4, 4, 2, 1), (4, 2, 1, 1))
+    after = lr.cache_info()["product"]
+    assert len(calls) == 1
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_oracle_equivalence_exhaustive():
     # brute-force polynomial multiplication, weights up to 6 total
     for total in range(7):

@@ -13,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 import lr_enumerator
 from schurhopf import _lrkernel_py, _oracle, cli, lr
-from schurhopf.partition import get_weight_limit, partitions_of, partitions_up_to, set_weight_limit
+from schurhopf.partition import (
+    clear_caches,
+    get_weight_limit,
+    partitions_of,
+    partitions_up_to,
+    set_weight_limit,
+)
 from schurhopf.schur_ring import SchurElement
 
 
@@ -22,11 +28,14 @@ def small_shape(max_weight):
 
 
 def test_skews_match_the_enumerator_exhaustively():
-    shapes = [tuple(p) for p in partitions_up_to(9)]
+    # every pair with |outer| <= 10, inner shapes that do not fit included,
+    # through lr's front end: the kernel's normal form against a plain walk
+    clear_caches()
+    shapes = partitions_up_to(10)
     for outer in shapes:
         for inner in shapes:
-            if sum(inner) <= sum(outer):
-                got = _lrkernel_py.expand_skew(outer, inner)
+            if inner.weight <= outer.weight:
+                got = lr.skew_expansion(outer, inner)
                 assert got == lr_enumerator.expand_skew(outer, inner), (outer, inner)
 
 
@@ -59,6 +68,7 @@ def test_recursion_depth_is_bounded_by_the_row_count():
     # 30 to 64 labels on 40 to 64 rows: the reference enumerator needs a
     # frame per label and per row here.  The one-row and one-column skews of
     # 300 to 1500 rows go through lr, whose every skew reaches the kernel.
+    # The 64-row skew splits into two columns of 32, s_{1^32} . s_{1^32}.
     col = (1,) * 32
     tall = (2,) * 20 + (1,) * 20
     rows = 64
@@ -69,6 +79,7 @@ def test_recursion_depth_is_bounded_by_the_row_count():
     try:
         product = _lrkernel_py.expand_product(col, col)
         skew = _lrkernel_py.expand_skew(tall, (2, 1))
+        blocks = _lrkernel_py.expand_skew((3,) * 32 + col, (2,) * 32)
         coefficient = _lrkernel_py.product_coefficient(col[:30], col[:30], (2,) * 15 + (1,) * 30)
         pieri = [
             lr.skew_expansion((1,) * 1500, (1,)),
@@ -81,6 +92,7 @@ def test_recursion_depth_is_bounded_by_the_row_count():
         set_weight_limit(old_weight_limit)
     assert product == {(2,) * k + (1,) * (64 - 2 * k): 1 for k in range(33)}
     assert skew == {(2,) * 19 + (1,) * 19: 1, (2,) * 18 + (1,) * 21: 1}
+    assert blocks == product
     assert coefficient == 1
     assert pieri == [
         {(1,) * 1499: 1},

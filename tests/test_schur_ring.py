@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhopf.partition import Partition, partitions_up_to
+from schurhopf import lr
+from schurhopf.partition import Partition, partitions_up_to, subpartitions
 from schurhopf.schur_ring import SchurElement, TensorElement
 
 
@@ -95,6 +96,18 @@ def test_coproduct_degrees_split():
     for (a, b), c in cop.items():
         assert a.weight + b.weight == 4
         assert c > 0
+
+
+def test_coproduct_is_every_skew_of_the_shape():
+    # coproduct skews only by the heavier half of the inner shapes and
+    # mirrors the rest; the table must still be sum_lam lam (x) nu/lam
+    for nu in partitions_up_to(8):
+        expected = {
+            (lam, mu): c
+            for lam in subpartitions(nu)
+            for mu, c in lr.skew_expansion(nu, lam).items()
+        }
+        assert dict(s(nu).coproduct().items()) == expected, nu
 
 
 def test_counit():
