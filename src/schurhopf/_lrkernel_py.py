@@ -13,9 +13,18 @@ merging the chains that reach the same state.  A skew does not know its
 content in advance, so its states also carry the content so far, and one
 walk per state places a strip of any size up to the previous label's.
 
-Label i (counting from 0) never lands above row i, so its walk starts
-there.  When the outer shape is known (skews and single coefficients), row
-i holds only labels up to i, so label i must fill row i to the outer shape:
+A profile holds only what the next label reads.  Label i (counting from
+0) never lands above row i, so its walk starts there, and label i+1 reads
+label i's count in rows up to r - 1 for each row r >= i + 1 it visits.
+Label i's profile therefore starts at row i and ends at the row where its
+strip was found; past that row label i is complete, with at least as many
+cells as label i+1, since the content is weakly decreasing, so the ballot
+caps nothing there.  Two strips reaching one shape end at the same row
+whenever their counts agree, so states merge exactly as with full-length
+profiles.  The last label's strips end the walk, so it builds none.
+
+When the outer shape is known (skews and single coefficients), row i
+holds only labels up to i, so label i must fill row i to the outer shape:
 that row's share of the strip is forced, and a chain that cannot fill it
 dies at that label instead of at the end.  The walks go row by row and the
 labels one after another, so nothing recurses, however tall the shapes.
@@ -55,18 +64,21 @@ def _contains(outer, inner):
     return True
 
 
-def _strips(shape, prev_cum, start, smin, smax, outer):
+def _strips(shape, prev, start, smin, smax, outer, profiles=True):
     """Horizontal strips of smin..smax cells on `shape` in rows start, start+1, ...
 
-    prev_cum[r] counts the previous label's cells in rows 0..r (None for the
-    first label, which has no ballot constraint).  outer, when given, caps
-    the shape row by row, and row `start` must then be filled to
-    outer[start].  Returns (new_shape, cum, size) per strip, where cum is the
-    new label's row profile, as long as new_shape.
+    prev[k] counts the previous label's cells in rows up to start + k - 1
+    (empty for the first label, which has no ballot constraint).  outer, when
+    given, caps the shape row by row, and row `start` must then be filled to
+    outer[start].  Returns (new_shape, cum, size) per strip, where cum[k]
+    counts the new label's cells in rows up to start + k, up to the row where
+    the strip was found: the prev of the next label, which starts a row
+    lower.  With profiles false, returns the new shapes alone.
     """
     n = len(shape)
     nrows = n + 1 if outer is None else min(n + 1, len(outer))
     head = shape[:start]
+    end = start + len(prev)
     found = []
     partial = [(0, (), ())]  # (cells placed, rows start..r-1, their profile)
     r = start
@@ -79,9 +91,12 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
                 cap = outer[r] - base
             if r == start:
                 need = outer[r] - base  # row completion
-        lim = smax  # ballot: no more than the previous label in rows 0..r-1
-        if prev_cum is not None and prev_cum[r - 1] < lim:
-            lim = prev_cum[r - 1]
+        # ballot: no more than the previous label in rows up to r - 1; past
+        # the end of its profile that label is complete, and it has at least
+        # smax cells, since the content is weakly decreasing
+        lim = smax
+        if r < end and prev[r - start] < lim:
+            lim = prev[r - start]
         # the rest of row r's run of equal parts sits under an equal row, so
         # it takes no cell and the walk steps over it
         stop = shape.index(base) + shape.count(base) if r < n else r + 1
@@ -101,12 +116,13 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
                         new = head + rows + (base + a,) + shape[r + 1:]
                         if not new[-1]:
                             new = new[:-1]
-                        cum_all = (0,) * start + cum + (p,) * (len(new) - r)
-                        found.append((new, cum_all, p))
+                        found.append((new, cum + (p,), p) if profiles else new)
                 else:
-                    extended.append(
-                        (p, rows + (base + a,) + shape[r + 1:stop], cum + (p,) * (stop - r))
-                    )
+                    extended.append((
+                        p,
+                        rows + (base + a,) + shape[r + 1:stop],
+                        cum + (p,) * (stop - r) if profiles else cum,
+                    ))
         if not extended:
             break
         partial = extended
@@ -115,17 +131,26 @@ def _strips(shape, prev_cum, start, smin, smax, outer):
 
 
 def _grow(lam, mu, outer):
-    """{shape: number of LR chains} after growing lam by the labels of mu."""
-    states = {(tuple(lam), None): 1}
+    """{shape: number of LR chains} after growing lam by the labels of mu.
+
+    The last label's strips end the walk, so it builds no profiles."""
+    if not mu:
+        return {tuple(lam): 1}
+    states = {(tuple(lam), ()): 1}
     last = len(mu) - 1
-    for i, size in enumerate(mu):
+    for i, size in enumerate(mu[:last]):
         nxt = {}
         for (shape, prev), count in states.items():
             for ns, cum, _ in _strips(shape, prev, i, size, size, outer):
-                key = (ns, None) if i == last else (ns, cum)
+                key = (ns, cum)
                 nxt[key] = nxt.get(key, 0) + count
         states = nxt
-    return {shape: count for (shape, _), count in states.items()}
+    size = mu[last]
+    out = {}
+    for (shape, prev), count in states.items():
+        for ns in _strips(shape, prev, last, size, size, outer, False):
+            out[ns] = out.get(ns, 0) + count
+    return out
 
 
 def _base_and_content(lam, mu):
@@ -212,7 +237,7 @@ def _walk_skew(outer, inner):
     total = sum(outer) - sum(inner)
     out = {}
     # label i -> {(shape, profile of label i-1, content so far): chains}
-    states = {(inner, None, ()): 1}
+    states = {(inner, (), ()): 1}
     i = 0
     while states:
         nxt = {}

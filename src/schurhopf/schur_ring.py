@@ -25,10 +25,11 @@ The one extension rule of the package: every ring map is `_linear` or
 `_bilinear` over its value on basis elements, a cached per-term table (an LR
 or Newell-Littlewood product, a basis conversion) or a table whose keys
 never collide (one shape's coproduct, a slotwise product).  Two loops
-stay written out: `skew` drops a pair whose inner shape outweighs the outer
-before `lr` is asked for its table, since a conversion skews each term by
-every series term up to its degree; and `char_rings._contract` gathers
-unordered pairs first, so that each product expands once.
+stay written out: `skew` drops a pair whose inner shape is heavier, taller
+or wider than the outer before `lr` is asked for its table, since a
+conversion skews each term by every series term up to its degree, and most
+of those cannot fit; and `char_rings._contract` gathers unordered pairs
+first, so that each product expands once.
 
 Products, skews and coproducts read the Littlewood-Richardson tables cached
 in `lr` (`lr._product_terms`, `lr._skew_terms`), not through the validating
@@ -302,13 +303,17 @@ class SchurElement(TermTable):
         if not isinstance(inner, SchurElement):
             inner = SchurElement.basis(inner)
         skew = lr._skew_terms
-        # Not _bilinear: the weight filter prunes a pair before lr is asked.
-        right = [(q, b, sum(q)) for q, b in inner._terms.items()]
+        # Not _bilinear: a pair whose inner shape is heavier, taller or
+        # wider than the outer one cannot fit, and is dropped before lr is
+        # asked for its (empty) table.
+        right = [
+            (q, b, sum(q), len(q), q[0] if q else 0) for q, b in inner._terms.items()
+        ]
         table: dict[Partition, int] = {}
         for p, a in self._terms.items():
-            wp = sum(p)
-            for q, b, wq in right:
-                if wq <= wp:
+            wp, lp, p0 = sum(p), len(p), p[0] if p else 0
+            for q, b, wq, lq, q0 in right:
+                if wq <= wp and lq <= lp and q0 <= p0:
                     _add_scaled(table, skew(p, q), a * b)
         return SchurElement._trusted(table)
 

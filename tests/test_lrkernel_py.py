@@ -171,6 +171,52 @@ def test_both_growth_directions_match_the_enumerator():
                 assert _lrkernel_py.product_coefficient(mu, lam, nu) == c, (mu, lam, nu)
 
 
+def test_products_match_the_enumerator_up_to_total_weight_14():
+    # every unordered pair through lr's front end; up to total weight 8 also
+    # every coefficient, by _grow with the outer shape known, in both
+    # directions (the walks whose last label builds no profile)
+    clear_caches()
+    shapes = [tuple(p) for p in partitions_up_to(14)]
+    grow = _lrkernel_py._grow
+    for i, lam in enumerate(shapes):
+        for mu in shapes[i:]:
+            total = sum(lam) + sum(mu)
+            if total > 14:
+                continue
+            table = lr_enumerator.expand_product(lam, mu)
+            assert lr.product_expansion(lam, mu) == table, (lam, mu)
+            if total > 8:
+                continue
+            for nu in partitions_of(total):
+                nu = tuple(nu)
+                c = table.get(nu, 0)
+                for base, content in ((lam, mu), (mu, lam)):
+                    if _lrkernel_py._contains(nu, base):
+                        assert grow(base, content, nu).get(nu, 0) == c, (base, content, nu)
+
+
+def test_strip_walks_per_product_are_pinned(monkeypatch):
+    # one _strips call per merged state and label: a walk that stops
+    # merging states, or keys them by more than the next label reads, makes
+    # more calls than these
+    calls = []
+    strips = _lrkernel_py._strips
+
+    def counted(shape, *args):
+        calls.append(shape)
+        return strips(shape, *args)
+
+    monkeypatch.setattr(_lrkernel_py, "_strips", counted)
+    for lam, expected in (((4, 2, 1, 1), 169), ((3, 2, 1, 1, 1), 181)):
+        calls.clear()
+        _lrkernel_py.expand_product(lam, lam)
+        assert len(calls) == expected, lam
+    calls.clear()
+    lam = (3, 2, 1, 1, 1)
+    assert _lrkernel_py.product_coefficient(lam, lam, (6, 4, 2, 2, 2)) == 1
+    assert len(calls) == 5
+
+
 def test_single_coefficients_match_the_enumerator_on_every_triple():
     # lr.lr_coefficient refuses mismatched weights and a nu that does not
     # contain both factors before it calls the kernel; the kernel itself

@@ -74,6 +74,16 @@ def test_skew_accepts_partition_or_element():
     assert x.skew(P((3,))) == SchurElement.zero()
 
 
+def test_skew_drops_inner_shapes_that_cannot_fit_before_lr():
+    # (3) is wider and (1,1,1) taller than (2,2), though neither is heavier:
+    # both pairs are dropped without a call to lr's skew table
+    before = lr.cache_info()["skew"]
+    got = s(P((2, 2))).skew(s(P((3,))) + s(P((1, 1, 1))))
+    after = lr.cache_info()["skew"]
+    assert got == SchurElement.zero()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_scalar_product_orthonormal():
     assert s(P((2, 1))).scalar_product(s(P((2, 1)))) == 1
     assert s(P((2, 1))).scalar_product(s(P((3,)))) == 0
