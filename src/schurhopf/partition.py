@@ -19,8 +19,7 @@ Every module-level memo in the package is made by `memo`, here next to the
 limit it depends on: a functools.lru_cache of one bounded size, entered in
 one registry.  `clear_caches` empties every registered memo, and
 set_weight_limit calls it, so no table computed under another limit is
-served.  A memo owned by one call or one object (a SchurSeries's terms) is
-not registered; it dies with its owner.
+served.
 """
 
 from __future__ import annotations

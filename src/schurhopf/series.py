@@ -12,10 +12,17 @@ their conjugates; C carries sign (-1)^(d/2) on the hooks with Frobenius
 coordinates (a+1 | a), and A on their conjugates (a | a+1).  All four vanish
 in odd degrees.  The closed forms for A and C are cross-checked in the test
 suite against a truncated expansion of the defining products.
+
+A series' checked terms and Delta'' tables are `partition.memo` tables keyed
+by the series, so they live until the registry evicts or clears them.  Every
+graded product here (a series product, the inverse's recurrence, both
+factors of Delta'') is one `_convolve`.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add, mul
 from typing import Callable
 
 from .errors import DegreeOverflowError, InvalidArgumentError, NotInvertibleError, _expect
@@ -50,13 +57,11 @@ class SchurSeries:
         self._fn = term_fn
         self.cutoff = cutoff
         self.name = name
-        self._memo: dict[int, SchurElement] = {}
-        self._twisted: dict[int, TensorSeriesCoefficients] = {}
 
     def term(self, d: int) -> SchurElement:
         """The degree-d term; raises DegreeOverflowError past the cutoff.
-        Past the weight limit a memoized term is recomputed, so it raises as
-        in a fresh series."""
+        set_weight_limit empties the memo of terms, so past a lowered limit a
+        term is recomputed and raises as in a fresh series."""
         _expect(d, int)
         if d < 0:
             raise InvalidArgumentError("degree must be nonnegative")
@@ -65,20 +70,30 @@ class SchurSeries:
                 f"degree {d} exceeds the cutoff {self.cutoff} of series "
                 f"{self.name or '<anonymous>'}"
             )
-        got = self._memo.get(d) if d <= get_weight_limit() else None
-        if got is None:
-            got = self._fn(d)
-            if not isinstance(got, SchurElement):
-                raise InvalidArgumentError("series term must be a SchurElement")
-            if any(p.weight != d for p, _ in got.items()):
-                raise InvalidArgumentError(
-                    f"series term of degree {d} is not homogeneous: {got}"
-                )
-            self._memo[d] = got
-        return got
+        return _term(self, d)
 
     def __repr__(self) -> str:
         return f"SchurSeries(name={self.name!r}, cutoff={self.cutoff})"
+
+
+@memo
+def _term(s: SchurSeries, d: int) -> SchurElement:
+    """The degree-d term of s, checked: a SchurElement homogeneous of degree d."""
+    got = s._fn(d)
+    if not isinstance(got, SchurElement):
+        raise InvalidArgumentError("series term must be a SchurElement")
+    if any(p.weight != d for p, _ in got.items()):
+        raise InvalidArgumentError(f"series term of degree {d} is not homogeneous: {got}")
+    return got
+
+
+def _convolve(d: int, left, right, times=mul, first: int = 0):
+    """sum of times(left(e), right(d - e)) over e = first..d, for first <= d:
+    the degree-d term of a graded product.  right is read in rising degree,
+    so a recurrence through it (series_inverse) nests only one call deep; the
+    pieces are still added with e rising, which fixes the result's key order."""
+    pieces = [times(left(e), right(d - e)) for e in range(d, first - 1, -1)]
+    return reduce(add, reversed(pieces))
 
 
 def _series_key(name) -> str:
@@ -149,13 +164,7 @@ def series_product(
     if name is None and s.name and t.name:
         name = s.name + t.name
 
-    def fn(d: int) -> SchurElement:
-        total = SchurElement.zero()
-        for e in range(d + 1):
-            total = total + s.term(e) * t.term(d - e)
-        return total
-
-    return SchurSeries(fn, cut, name)
+    return SchurSeries(lambda d: _convolve(d, s.term, t.term), cut, name)
 
 
 def series_inverse(
@@ -174,10 +183,7 @@ def series_inverse(
         if d == 0:
             return SchurElement.one()
         # triangular recurrence: T(d) = -sum_{e>=1} S(e) T(d-e)
-        total = SchurElement.zero()
-        for e in range(1, d + 1):
-            total = total + s.term(e) * inv.term(d - e)
-        return -total
+        return -_convolve(d, s.term, inv.term, first=1)
 
     inv = SchurSeries(fn, cut, name or (f"{s.name}^-1" if s.name else None))
     return inv
@@ -256,39 +262,26 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
     delta_{sigma,tau}, which is what makes the generic tensor-product engine
     collapse to the orthogonal and symplectic rules.
 
-    The table is memoized per series and cutoff, and served again while the
-    cutoff is within the weight limit.
+    The table is a memo per series and cutoff, which set_weight_limit empties.
     """
     _expect(t, SchurSeries)
     cut = t.cutoff if cutoff is None else cutoff
     _expect(cut, int)
     if cut > t.cutoff:
         raise DegreeOverflowError("cutoff exceeds the series cutoff")
-    got = t._twisted.get(cut) if cut <= get_weight_limit() else None
-    if got is None:
-        got = t._twisted[cut] = _delta_double_prime(t, cut)
-    return got
+    return _delta_double_prime(t, cut)
 
 
+@memo
 def _delta_double_prime(t: SchurSeries, cut: int) -> TensorSeriesCoefficients:
     inv = series_inverse(t, cut)
-    # graded pieces of Delta(T) and of T^-1 (x) T^-1
-    delta_piece = {g: t.term(g).coproduct() for g in range(cut + 1)}
-    inv_piece: dict[int, TensorElement] = {}
-    for g in range(cut + 1):
-        piece = TensorElement()
-        for a in range(g + 1):
-            piece = piece + TensorElement.pure(inv.term(a), inv.term(g - a))
-        inv_piece[g] = piece
+
+    def inv_square(g: int) -> TensorElement:
+        # the degree-g piece of T^-1 (x) T^-1
+        return _convolve(g, inv.term, inv.term, TensorElement.pure)
+
     entries: dict = {}
     for g in range(cut + 1):
-        total = TensorElement()
-        for g1 in range(g + 1):
-            left = inv_piece[g1]
-            right = delta_piece[g - g1]
-            if left.is_zero or right.is_zero:
-                continue
-            total = total + left * right
         # the keys of degree g have |sigma| + |tau| = g, so degrees never clash
-        entries.update(total._terms)
+        entries.update(_convolve(g, inv_square, lambda e: t.term(e).coproduct())._terms)
     return TensorSeriesCoefficients._trusted(entries, cut)

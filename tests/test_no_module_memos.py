@@ -20,6 +20,7 @@ import schurhopf
 from schurhopf import _oracle, lr, partition
 from schurhopf.char_rings import Basis, CharElement, convert, tensor_product
 from schurhopf.partition import get_weight_limit, set_weight_limit
+from schurhopf.series import delta_double_prime, littlewood_series
 
 PACKAGE = Path(schurhopf.__file__).parent
 
@@ -230,6 +231,8 @@ def test_the_registry_is_every_cache_the_benchmark_sees():
         "schurhopf.char_rings._newell_littlewood",
         "schurhopf.char_rings._conversion",
         "schurhopf.series.series_term",
+        "schurhopf.series._term",
+        "schurhopf.series._delta_double_prime",
         "schurhopf._oracle.kostka_row",
         "schurhopf._oracle.schur_polynomial",
     }
@@ -244,6 +247,7 @@ def test_set_weight_limit_empties_every_memo():
     convert(CharElement.basis_element(Basis.GL, lam), Basis.O)
     _oracle.product_in_schur_basis(lam, mu)
     _oracle.schur_polynomial(lam, 3)
+    delta_double_prime(littlewood_series("D", 2))
     assert {_name(m) for m in partition._memos if m.cache_info().currsize == 0} == set()
     set_weight_limit(get_weight_limit())
     infos = [m.cache_info() for m in partition._memos]

@@ -6,7 +6,13 @@ from schurhopf.errors import (
     NotInvertibleError,
     WeightLimitError,
 )
-from schurhopf.partition import Partition, get_weight_limit, partitions_of, set_weight_limit
+from schurhopf.partition import (
+    Partition,
+    clear_caches,
+    get_weight_limit,
+    partitions_of,
+    set_weight_limit,
+)
 from schurhopf.schur_ring import SchurElement
 from schurhopf.series import (
     SchurSeries,
@@ -199,6 +205,26 @@ def test_term_fn_memoized():
     assert calls.count(3) == 1
 
 
+def test_term_fn_runs_again_after_the_registry_is_cleared():
+    calls = []
+
+    def fn(d):
+        calls.append(d)
+        return s(P(())) if d == 0 else SchurElement.zero()
+
+    ser = SchurSeries(fn, cutoff=4, name="counted")
+    ser.term(2)
+    ser.term(2)
+    assert calls == [2]
+    clear_caches()
+    ser.term(2)
+    assert calls == [2, 2]
+
+
+def test_a_series_holds_no_cache():
+    assert set(vars(littlewood_series("D", 4))) == {"_fn", "cutoff", "name"}
+
+
 def test_unit_series():
     u = unit_series(4)
     assert u.term(0) == SchurElement.one()
@@ -334,3 +360,68 @@ def test_generic_tensor_product_with_an_off_diagonal_table(name):
             product = skew_by_series(s(lam), inv) * skew_by_series(s(mu), inv)
             got = tensor_product_generic(lam, mu, t).as_schur_element()
             assert got == skew_by_series(product, t), (lam, mu)
+
+
+# H = sum s_(d) and E = sum s_(1^d) have terms in every degree, odd ones
+# included, which the named series and the unit do not.
+def _h_series(cutoff=6):
+    return SchurSeries(lambda d: s(P((d,) if d else ())), cutoff, "H")
+
+
+def _e_series(cutoff=6):
+    return SchurSeries(lambda d: s(P((1,) * d)), cutoff, "E")
+
+
+def test_the_inverse_of_h_is_the_signed_e():
+    inv = series_inverse(_h_series())
+    for d in range(7):
+        assert inv.term(d) == (-1) ** d * s(P((1,) * d)), d
+
+
+def test_h_times_its_inverse_is_the_unit():
+    h = _h_series()
+    prod = series_product(h, series_inverse(h))
+    unit = unit_series(6)
+    assert [prod.term(d) for d in range(7)] == [unit.term(d) for d in range(7)]
+
+
+@pytest.mark.parametrize("make", [_h_series, _e_series], ids=["H", "E"])
+def test_delta_double_prime_of_a_grouplike_series_is_the_unit(make):
+    # Delta(H) = H (x) H, so (H^-1 (x) H^-1) * Delta(H) is 1 (x) 1
+    assert dict(delta_double_prime(make()).items()) == {(P(()), P(())): 1}
+
+
+def test_delta_double_prime_of_one_plus_s1():
+    terms = [s(P(())), s(P((1,)))]
+    t = SchurSeries(lambda d: terms[d] if d < 2 else SchurElement.zero(), 4, "1+s1")
+    got = {(tuple(a), tuple(b)): c for (a, b), c in delta_double_prime(t).items()}
+    assert got == {
+        ((3,), (1,)): -1,
+        ((2, 1), (1,)): -2,
+        ((1, 1, 1), (1,)): -1,
+        ((2,), (2,)): -1,
+        ((2,), (1, 1)): -1,
+        ((2,), (1,)): 1,
+        ((1, 1), (2,)): -1,
+        ((1, 1), (1, 1)): -1,
+        ((1, 1), (1,)): 1,
+        ((1,), (3,)): -1,
+        ((1,), (2, 1)): -2,
+        ((1,), (1, 1, 1)): -1,
+        ((1,), (2,)): 1,
+        ((1,), (1, 1)): 1,
+        ((1,), (1,)): -1,
+        ((), ()): 1,
+    }
+
+
+def test_an_inverse_at_a_high_cutoff_does_not_recurse_per_degree():
+    # each inverse term reads the lower ones in rising degree, so degree 600
+    # needs no 600-deep recursion
+    old = get_weight_limit()
+    set_weight_limit(1000)
+    try:
+        inv = series_inverse(unit_series(600))
+        assert inv.term(600).is_zero
+    finally:
+        set_weight_limit(old)
