@@ -52,7 +52,19 @@ the benchmark's lr_cold workload 753 of a pass's 918 skews need no walk.
 The normal form lives here, not in lr, so that one skew that misses lr's
 cache stays one kernel call with no lr product behind it: the benchmark's
 traced accounting reads kernel calls off lr's cache misses.
+
+Its pieces repeat across skews far more than the skews do, so the kernel
+memoizes them (`partition.memo`): each walked block, keyed by the shifted
+block, and each pairwise product of block shapes, keyed by the unordered
+pair.  One lr_cold pass asks for 166 block walks, 58 of them distinct, and
+for 1,651 block products, 150 of them distinct.  The memos sit in the
+kernel, not behind lr's product cache, for the same reason as the normal
+form.  A table the kernel returns may therefore be one of its memos' own,
+so it is never mutated, the rule stated in schur_ring's docstring; lr
+builds its finished tables as new dicts.
 """
+
+from .partition import memo
 
 
 def _contains(outer, inner):
@@ -220,20 +232,28 @@ def expand_skew(outer, inner):
 def _times(left, right):
     """The product of two coefficient tables, by expand_product's walk.
 
-    The walk is called directly, not through the module's expand_product,
-    so that a skew stays one call into the kernel's public functions.
+    Each pairwise product is read from the _block_product memo, keyed by
+    the unordered pair, not through the module's expand_product, so that a
+    skew stays one call into the kernel's public functions.
     """
     out = {}
     for lam, x in left.items():
         for mu, y in right.items():
-            for nu, c in _grow(*_base_and_content(lam, mu), None).items():
+            table = _block_product(mu, lam) if mu < lam else _block_product(lam, mu)
+            for nu, c in table.items():
                 out[nu] = out.get(nu, 0) + x * y * c
     return out
 
 
+@memo
+def _block_product(lam, mu):
+    return _grow(*_base_and_content(lam, mu), None)
+
+
+@memo
 def _walk_skew(outer, inner):
     """s_{outer/inner} by one LR walk, for a nonempty inner shape inside
-    outer."""
+    outer; memoized on the normalized block that _block_skew hands it."""
     total = sum(outer) - sum(inner)
     out = {}
     # label i -> {(shape, profile of label i-1, content so far): chains}

@@ -7,7 +7,9 @@ pin that the kernel's stack depth does not grow with the label count.
 """
 
 import json
+import random
 import sys
+from itertools import zip_longest
 
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +39,48 @@ def test_skews_match_the_enumerator_exhaustively():
             if inner.weight <= outer.weight:
                 got = lr.skew_expansion(outer, inner)
                 assert got == lr_enumerator.expand_skew(outer, inner), (outer, inner)
+
+
+def test_skews_match_the_enumerator_with_the_kernel_memos_warm():
+    # every pair with |outer| <= 10 straight into the kernel, from cleared
+    # caches and then again in a shuffled order: the second run reads every
+    # walked block and block product from the first run's memos.  A walked
+    # block first meets a second block at |outer| = 8, in (4,3,1)/(2,1).
+    pairs = [
+        (tuple(outer), tuple(inner))
+        for outer in partitions_up_to(10)
+        for inner in partitions_up_to(outer.weight)
+    ]
+    expected = [lr_enumerator.expand_skew(*pair) for pair in pairs]
+    clear_caches()
+    assert [_lrkernel_py.expand_skew(*pair) for pair in pairs] == expected
+    memos = (_lrkernel_py._walk_skew, _lrkernel_py._block_product)
+    cold = [m.cache_info() for m in memos]
+    assert all(info.misses for info in cold)
+    order = list(range(len(pairs)))
+    random.Random(7).shuffle(order)
+    for i in order:
+        assert _lrkernel_py.expand_skew(*pairs[i]) == expected[i], pairs[i]
+    warm = [m.cache_info() for m in memos]
+    assert [info.misses for info in warm] == [info.misses for info in cold]
+    assert all(w.hits > c.hits for w, c in zip(warm, cold))
+
+
+def test_skew_pieces_are_shared_across_the_lr_cold_batch():
+    # the benchmark's lr_cold skews, (a+b)/a for |a| = |b| <= 8, from
+    # cleared caches: a walk that stops sharing its blocks, or a memo that
+    # keys by more than the normalized piece, shows in these counts
+    clear_caches()
+    for w in range(1, 9):
+        shapes = [tuple(p) for p in partitions_of(w)]
+        for a in shapes:
+            for b in shapes:
+                outer = tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
+                _lrkernel_py.expand_skew(outer, a)
+    products = _lrkernel_py._block_product.cache_info()
+    walks = _lrkernel_py._walk_skew.cache_info()
+    assert (products.hits, products.misses) == (1501, 150)
+    assert (walks.hits, walks.misses) == (108, 58)
 
 
 @given(small_shape(6), small_shape(6))

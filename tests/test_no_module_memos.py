@@ -235,13 +235,16 @@ def test_the_registry_is_every_cache_the_benchmark_sees():
         "schurhopf.series._delta_double_prime",
         "schurhopf._oracle.kostka_row",
         "schurhopf._oracle.schur_polynomial",
+        "schurhopf._lrkernel_py._walk_skew",
+        "schurhopf._lrkernel_py._block_product",
     }
 
 
 def test_set_weight_limit_empties_every_memo():
     lam, mu = (2, 1), (1,)
     lr.product_expansion(lam, mu)
-    lr.skew_expansion(lam, mu)
+    lr.skew_expansion(lam, mu)  # multiplies two blocks
+    lr.skew_expansion((4, 3, 2), (2, 1))  # walks one
     lr.lr_coefficient(lam, mu, (3, 1))
     tensor_product(lam, lam, Basis.O)
     convert(CharElement.basis_element(Basis.GL, lam), Basis.O)
