@@ -181,19 +181,19 @@ def _dominant_product(kind: str, nvars: int, max_deg: int) -> dict:
     geometric factors, truncated at total degree max_deg.
 
     Factors go in with i as the outer loop, so once row i is in, x_i's
-    exponent is final.  Then a monomial whose exponents e_0..e_i are not
-    weakly decreasing, or with a later e_k already above e_i, is dropped:
-    exponents only grow, so it can never become dominant."""
+    exponent is final.  Exponents only grow, so a monomial is dropped as
+    soon as it can never become dominant: after each factor of row i > 0,
+    when e_i has passed the final e_{i-1}, and once row i is in, when a
+    later e_k is above e_i.  So e_0..e_i stay weakly decreasing."""
     out = poly_one(nvars)
     inverse = kind in ("B", "D")
     strict = kind in ("A", "B")
     for i in range(nvars):
         for j in range(i + (1 if strict else 0), nvars):
             out = poly_mul(out, pair_factor(nvars, i, j, inverse, max_deg), max_deg)
-        out = {
-            e: c for e, c in out.items()
-            if (i == 0 or e[i - 1] >= e[i]) and max(e[i:]) == e[i]
-        }
+            if i:
+                out = {e: c for e, c in out.items() if e[i] <= e[i - 1]}
+        out = {e: c for e, c in out.items() if max(e[i:]) == e[i]}
     return out
 
 

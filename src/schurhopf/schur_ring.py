@@ -24,12 +24,16 @@ or a pair of them) and that no coefficient is zero.
 The one extension rule of the package: every ring map is `_linear` or
 `_bilinear` over its value on basis elements, a cached per-term table (an LR
 or Newell-Littlewood product, a basis conversion) or a table whose keys
-never collide (one shape's coproduct, a slotwise product).  Two loops
-stay written out: `skew` drops a pair whose inner shape is heavier, taller
-or wider than the outer before `lr` is asked for its table, since a
-conversion skews each term by every series term up to its degree, and most
-of those cannot fit; and `char_rings._contract` gathers unordered pairs
-first, so that each product expands once.
+never collide (one shape's coproduct, a slotwise product).  One term (one
+pair) is summed by handing back its image under the sharing rule, scaled
+into a new table unless its coefficient is 1, so s_a * s_b wraps lr's own
+table.  Two loops stay written out: `skew` drops a pair whose inner shape
+is heavier, taller or wider than the outer before `lr` is asked for its
+table, since a conversion skews each term by every series term up to its
+degree, and most of those cannot fit (its one-by-one path runs the same fit
+test, then hands back the table as `_bilinear` would); and
+`char_rings._contract` gathers unordered pairs first, so that each product
+expands once.
 
 Products, skews and coproducts read the Littlewood-Richardson tables cached
 in `lr` (`lr._product_terms`, `lr._skew_terms`), not through the validating
@@ -81,8 +85,18 @@ def _add_scaled(table: dict, terms: dict, k: int) -> None:
             del table[r]
 
 
+def _scaled_image(image: dict, k: int) -> dict:
+    """k * image; image itself when k == 1, under the sharing rule."""
+    return image if k == 1 else {r: k * c for r, c in image.items()}
+
+
 def _linear(terms: Mapping, image) -> dict:
-    """sum c * image(k) over the terms k: c, every c nonzero, as a new table."""
+    """sum c * image(k) over the terms k: c, every c nonzero, as a new table,
+    except that one term hands back image(k) itself when c == 1 (the sharing
+    rule) and a new scaled copy otherwise."""
+    if len(terms) == 1:
+        [(k, c)] = terms.items()
+        return _scaled_image(image(k), c)
     table: dict = {}
     for k, c in terms.items():
         _add_scaled(table, image(k), c)
@@ -90,7 +104,12 @@ def _linear(terms: Mapping, image) -> dict:
 
 
 def _bilinear(xs: Mapping, ys: Mapping, image) -> dict:
-    """sum a * b * image(p, q) over the terms p: a of xs and q: b of ys."""
+    """sum a * b * image(p, q) over the terms p: a of xs and q: b of ys;
+    one pair hands back its image as _linear does one term."""
+    if len(xs) == 1 and len(ys) == 1:
+        [(p, a)] = xs.items()
+        [(q, b)] = ys.items()
+        return _scaled_image(image(p, q), a * b)
     table: dict = {}
     for p, a in xs.items():
         for q, b in ys.items():
@@ -305,7 +324,13 @@ class SchurElement(TermTable):
         skew = lr._skew_terms
         # Not _bilinear: a pair whose inner shape is heavier, taller or
         # wider than the outer one cannot fit, and is dropped before lr is
-        # asked for its (empty) table.
+        # asked for its (empty) table.  One pair runs the same test.
+        if len(self._terms) == 1 and len(inner._terms) == 1:
+            [(p, a)] = self._terms.items()
+            [(q, b)] = inner._terms.items()
+            if sum(q) <= sum(p) and len(q) <= len(p) and (not q or q[0] <= p[0]):
+                return SchurElement._trusted(_scaled_image(skew(p, q), a * b))
+            return SchurElement.zero()
         right = [
             (q, b, sum(q), len(q), q[0] if q else 0) for q, b in inner._terms.items()
         ]

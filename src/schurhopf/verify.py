@@ -12,7 +12,7 @@ them down uniformly (useful for quick smoke runs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, wraps
+from functools import cache, partial, wraps
 from typing import Iterator
 
 from . import char_rings
@@ -85,6 +85,12 @@ def _suite(max_degree: int | None, *checks) -> list[CheckResult]:
         check() if check.claimed is None else check(_cap(check.claimed, max_degree))
         for check in checks
     ]
+
+
+def _fold(cls, terms, image, tag=None):
+    """The cls element sum c * image(k) over the terms k: c, where each
+    image(k) is a cls element tagged `tag`: one `_linear` of their tables."""
+    return cls._trusted(_linear(terms, lambda k: image(k)._terms), tag)
 
 
 # -- golden tables ----------------------------------------------------------
@@ -177,14 +183,15 @@ def check_branch_convert_consistency(bound: int) -> Iterator[str]:
 def check_sigma_bound(bound: int) -> Iterator[str]:
     """The tensor-product sum truncates sigma at the smaller weight; check
     directly that every heavier sigma kills one of the two skews."""
+    skew = cache(lambda p, sigma: SchurElement.basis(p).skew(sigma))
     for lam in partitions_up_to(bound):
         for mu in partitions_up_to(bound):
             small = min(lam.weight, mu.weight)
             big = max(lam.weight, mu.weight)
             for w in range(small + 1, big + 1):
                 for sigma in partitions_of(w):
-                    left = SchurElement.basis(lam).skew(sigma)
-                    right = SchurElement.basis(mu).skew(sigma)
+                    left = skew(lam, sigma)
+                    right = skew(mu, sigma)
                     if not (left.is_zero or right.is_zero):
                         yield f"sigma={sigma} survives lambda={lam}, mu={mu}"
 
@@ -334,11 +341,11 @@ def check_symm_duality(bound: int) -> Iterator[str]:
 @_check("alternating skew identity collapses (weight <= %d)", 8)
 def check_schur_identity(bound: int) -> Iterator[str]:
     for nu in partitions_up_to(bound):
-        total = SchurElement.zero()
         base = SchurElement.basis(nu)
-        for mu in subpartitions(nu):
-            term = base.skew(mu) * SchurElement.basis(mu.conjugate())
-            total = total + term * (-1 if mu.weight % 2 else 1)
+        signs = {mu: -1 if mu.weight % 2 else 1 for mu in subpartitions(nu)}
+        total = _fold(
+            SchurElement, signs, lambda mu: base.skew(mu) * SchurElement.basis(mu.conjugate())
+        )
         expect = SchurElement.one() if nu.weight == 0 else SchurElement.zero()
         if total != expect:
             yield f"nu={nu}: got {total}"
@@ -346,27 +353,25 @@ def check_schur_identity(bound: int) -> Iterator[str]:
 
 @_check("antipode identity, both sides (weight <= %d)", 7)
 def check_symm_antipode(bound: int) -> Iterator[str]:
+    s = SchurElement.basis
     for p in partitions_up_to(bound):
-        x = SchurElement.basis(p)
+        x = s(p)
         expect = SchurElement.one() if p.weight == 0 else SchurElement.zero()
-        left = SchurElement.zero()
-        right = SchurElement.zero()
-        for (a, b), c in x.coproduct().items():
-            left = left + SchurElement.basis(a).antipode() * SchurElement.basis(b) * c
-            right = right + SchurElement.basis(a) * SchurElement.basis(b).antipode() * c
+        cop = x.coproduct()
+        left = _fold(SchurElement, cop, lambda ab: s(ab[0]).antipode() * s(ab[1]))
+        right = _fold(SchurElement, cop, lambda ab: s(ab[0]) * s(ab[1]).antipode())
         if left != expect or right != expect:
             yield f"basis element {p}"
 
 
 @_check("counit is a two-sided counit (weight <= %d)", 8)
 def check_symm_counitarity(bound: int) -> Iterator[str]:
+    s = SchurElement.basis
     for p in partitions_up_to(bound):
-        x = SchurElement.basis(p)
-        left = SchurElement.zero()
-        right = SchurElement.zero()
-        for (a, b), c in x.coproduct().items():
-            left = left + SchurElement.basis(b) * (c * SchurElement.basis(a).counit())
-            right = right + SchurElement.basis(a) * (c * SchurElement.basis(b).counit())
+        x = s(p)
+        cop = x.coproduct()
+        left = _fold(SchurElement, cop, lambda ab: s(ab[1]) * s(ab[0]).counit())
+        right = _fold(SchurElement, cop, lambda ab: s(ab[0]) * s(ab[1]).counit())
         if left != x or right != x:
             yield f"basis element {p}"
 
@@ -410,17 +415,17 @@ def check_compatibility(bound: int) -> Iterator[str]:
 @_check("iterated skew matches skew by the product (weight <= %d)", 7)
 def check_skew_of_skew(bound: int) -> Iterator[str]:
     shapes = [partitions_of(w) for w in range(bound + 1)]
+    product = cache(lambda mu, nu: SchurElement.basis(mu) * SchurElement.basis(nu))
     for wl in range(bound + 1):
         for lam in shapes[wl]:
             x = SchurElement.basis(lam)
             for wm in range(wl + 1):
                 for mu in shapes[wm]:
                     x_mu = x.skew(mu)
-                    s_mu = SchurElement.basis(mu)
                     for wn in range(wl - wm + 1):
                         for nu in shapes[wn]:
                             lhs = x_mu.skew(nu)
-                            rhs = x.skew(s_mu * SchurElement.basis(nu))
+                            rhs = x.skew(product(mu, nu))
                             if lhs != rhs:
                                 yield f"lambda={lam}, mu={mu}, nu={nu}"
 
@@ -429,14 +434,14 @@ def check_skew_of_skew(bound: int) -> Iterator[str]:
 def check_skew_of_product(bound: int) -> Iterator[str]:
     shapes = [partitions_of(w) for w in range(bound + 1)]
     up_to = [partitions_up_to(w) for w in range(bound + 1)]
-    # rho -> [(sigma, tau, c^rho_{sigma,tau})] over the nonzero coefficients
+    # rho -> {(sigma, tau): c^rho_{sigma,tau}} over the nonzero coefficients
     splits = {
-        rho: [
-            (sigma, tau, c)
+        rho: {
+            (sigma, tau): c
             for sigma in up_to[wr]
             for tau in shapes[wr - sigma.weight]
             if (c := lr_coefficient(sigma, tau, rho))
-        ]
+        }
         for wr in range(bound + 1)
         for rho in shapes[wr]
     }
@@ -448,12 +453,12 @@ def check_skew_of_product(bound: int) -> Iterator[str]:
                 x = SchurElement.basis(mu)
                 for nu in shapes[total - wm]:
                     prod = x * SchurElement.basis(nu)
+                    # (mu/sigma).(nu/tau) per split, shared across every rho
+                    paired = cache(lambda st: skew(mu, st[0]) * skew(nu, st[1]))
                     for wr in range(total + 1):
                         for rho in shapes[wr]:
                             lhs = prod.skew(rho)
-                            rhs = SchurElement.zero()
-                            for sigma, tau, c in splits[rho]:
-                                rhs = rhs + (skew(mu, sigma) * skew(nu, tau)) * c
+                            rhs = _fold(SchurElement, splits[rho], paired)
                             if lhs != rhs:
                                 yield f"mu={mu}, nu={nu}, rho={rho}"
 
@@ -463,15 +468,12 @@ def check_skew_of_product(bound: int) -> Iterator[str]:
 @_check("character counit is two-sided (weight <= %d)", 5)
 def check_char_counitarity(bound: int) -> Iterator[str]:
     for basis in (Basis.O, Basis.SP):
+        e = partial(CharElement.basis_element, basis)
         for p in partitions_up_to(bound):
-            x = CharElement.basis_element(basis, p)
-            left = CharElement(basis, {})
-            right = CharElement(basis, {})
-            for (a, b), c in char_coproduct(x).items():
-                ea = char_counit(CharElement.basis_element(basis, a))
-                eb = char_counit(CharElement.basis_element(basis, b))
-                left = left + CharElement.basis_element(basis, b) * (c * ea)
-                right = right + CharElement.basis_element(basis, a) * (c * eb)
+            x = e(p)
+            cop = char_coproduct(x)
+            left = _fold(CharElement, cop, lambda ab: e(ab[1]) * char_counit(e(ab[0])), basis)
+            right = _fold(CharElement, cop, lambda ab: e(ab[0]) * char_counit(e(ab[1])), basis)
             if left != x or right != x:
                 yield f"{x}"
 
@@ -479,17 +481,15 @@ def check_char_counitarity(bound: int) -> Iterator[str]:
 @_check("character antipode identity, both sides (weight <= %d)", 5)
 def check_char_antipode(bound: int) -> Iterator[str]:
     for basis in (Basis.O, Basis.SP):
-        unit = CharElement.basis_element(basis, Partition(()))
+        e = partial(CharElement.basis_element, basis)
+        s = cache(lambda a: char_antipode(e(a)))
+        unit = e(Partition(()))
         for p in partitions_up_to(bound):
-            x = CharElement.basis_element(basis, p)
+            x = e(p)
             expect = unit * char_counit(x)
-            left = CharElement(basis, {})
-            right = CharElement(basis, {})
-            for (a, b), c in char_coproduct(x).items():
-                sa = char_antipode(CharElement.basis_element(basis, a))
-                sb = char_antipode(CharElement.basis_element(basis, b))
-                left = left + char_multiply(sa, CharElement.basis_element(basis, b)) * c
-                right = right + char_multiply(CharElement.basis_element(basis, a), sb) * c
+            cop = char_coproduct(x)
+            left = _fold(CharElement, cop, lambda ab: char_multiply(s(ab[0]), e(ab[1])), basis)
+            right = _fold(CharElement, cop, lambda ab: char_multiply(e(ab[0]), s(ab[1])), basis)
             if left != expect or right != expect:
                 yield f"{x}: folded to {left} and {right}, expected {expect}"
 

@@ -6,10 +6,11 @@ per-term tables into a result, through `_add_scaled`.  So only
 the core (`char_rings`, `series`, `verify`) import neither `_add_scaled` nor
 `_merge`, the primitives a hand-rolled merge loop would start from.
 
-Nor do `series` and `char_rings` sum elements in a loop that rebinds a
-running total (`total = total + x`, `total -= x`): each such sum copies the
-table so far once per term, and every graded product in `series` is one
-`_convolve`.
+Nor do `series`, `char_rings` and `verify` sum elements in a loop that
+rebinds a running total (`total = total + x`, `total -= x`): each such sum
+copies the table so far once per term.  Every graded product in `series` is
+one `_convolve`, and each side of a `verify` identity is one `_linear` over
+its coproduct or split table.
 """
 
 import ast
@@ -21,7 +22,7 @@ PACKAGE = Path(schurhopf.__file__).parent
 
 _MAP_MODULES = {"char_rings.py", "series.py", "verify.py"}
 _PRIMITIVES = {"_add_scaled", "_merge"}
-_NO_RUNNING_TOTALS = {"series.py", "char_rings.py"}
+_NO_RUNNING_TOTALS = {"series.py", "char_rings.py", "verify.py"}
 
 
 def _breaches(source: str, module: str) -> list[str]:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from schurhopf import lr
 from schurhopf.partition import Partition, partitions_up_to, subpartitions
-from schurhopf.schur_ring import SchurElement, TensorElement
+from schurhopf.schur_ring import SchurElement, TensorElement, _linear
 
 
 P = Partition
@@ -75,13 +75,58 @@ def test_skew_accepts_partition_or_element():
 
 
 def test_skew_drops_inner_shapes_that_cannot_fit_before_lr():
-    # (3) is wider and (1,1,1) taller than (2,2), though neither is heavier:
-    # both pairs are dropped without a call to lr's skew table
-    before = lr.cache_info()["skew"]
-    got = s(P((2, 2))).skew(s(P((3,))) + s(P((1, 1, 1))))
-    after = lr.cache_info()["skew"]
-    assert got == SchurElement.zero()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    # (3) is wider and (1,1,1) taller than (2,2), though neither is heavier,
+    # and (3,2) is heavier than (3,1): every pair is dropped without a call
+    # to lr's skew table, one by one or in a sum
+    cases = [
+        (s(P((2, 2))), s(P((3,))) + s(P((1, 1, 1)))),
+        (-2 * s(P((2, 2))), P((3,))),
+        (-2 * s(P((2, 2))), P((1, 1, 1))),
+        (-2 * s(P((3, 1))), P((3, 2))),
+    ]
+    for outer, inner in cases:
+        before = lr.cache_info()["skew"]
+        got = outer.skew(inner)
+        after = lr.cache_info()["skew"]
+        assert got == SchurElement.zero()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_one_by_one_products_and_skews_share_the_lr_table():
+    a, b = P((2, 1)), P((1, 1))
+    assert (s(a) * s(b))._terms is lr._product_terms(a, b)
+    assert s(a).skew(b)._terms is lr._skew_terms(a, b)
+    assert s(a).skew(s(b))._terms is lr._skew_terms(a, b)
+    assert _linear({a: 1}, lambda k: lr._skew_terms(k, b)) is lr._skew_terms(a, b)
+
+
+def _scaled(table, k):
+    return {r: k * c for r, c in table.items()}
+
+
+def test_scaled_single_terms_leave_the_cached_tables_alone():
+    a, b = P((2, 1)), P((2,))
+    product = lr.product_expansion(a, b)
+    skew = lr.skew_expansion(a, b)
+    assert dict(((3 * s(a)) * s(b)).items()) == _scaled(product, 3)
+    assert dict((-s(a)).skew(b).items()) == _scaled(skew, -1)
+    assert _linear({a: -2}, lambda k: lr._product_terms(k, b)) == _scaled(product, -2)
+    # the shared tables are still the ones lr built
+    assert lr._product_terms(a, b) == product == lr.product_expansion(a, b)
+    assert lr._skew_terms(a, b) == skew == lr.skew_expansion(a, b)
+
+
+def test_single_terms_scale_the_lr_table():
+    shapes = partitions_up_to(5)
+    for p in shapes:
+        for q in shapes:
+            product = lr.product_expansion(p, q)
+            skew = lr.skew_expansion(p, q)
+            for u in (1, -1, 2):
+                for v in (1, -1, 2):
+                    x, y = u * s(p), v * s(q)
+                    assert dict((x * y).items()) == _scaled(product, u * v)
+                    assert dict(x.skew(y).items()) == _scaled(skew, u * v)
 
 
 def test_scalar_product_orthonormal():
