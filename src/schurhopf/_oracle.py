@@ -13,7 +13,10 @@ polynomial is expanded back into the Schur basis from its dominant monomials
 alone, by repeatedly taking the lex-leading one and subtracting that multiple
 of its Kostka row, which is valid whenever the variable count is at least
 the degree.  The defining products of the Littlewood series are expanded
-keeping only monomials that can still become dominant; the pruning is exact
+one factor 1 - x_i x_j (or its geometric inverse) at a time, in place: a
+factor shifts the polynomial by x_i x_j and subtracts, or adds down the
+chain of shifts in rising degree, with no factor polynomial written out.
+Only monomials that can still become dominant are kept; the pruning is exact
 because exponents only grow as factors go in.  A product s_lam s_mu is read
 the same way: each dominant coefficient is a sum of products of two Kostka
 numbers, so neither factor is ever written out in full.  The route that
@@ -175,22 +178,68 @@ def pair_factor(nvars: int, i: int, j: int, inverse: bool, max_deg: int) -> dict
     return {power(0): 1, power(1): -1}
 
 
+def _pair_step(poly: dict, i: int, j: int, inverse: bool, max_deg: int) -> None:
+    """Multiply poly in place by the factor 1 - x_i x_j, or with inverse by
+    its geometric inverse, truncated at total degree max_deg: poly becomes
+    poly_mul(poly, pair_factor(nvars, i, j, inverse, max_deg), max_deg),
+    for poly of total degree at most max_deg.
+
+    x_i x_j shifts a monomial two degrees up.  The direct factor subtracts
+    each old coefficient at its shift, read from a snapshot of the items.
+    The inverse satisfies new(e) = old(e) + new(e - shift), so it walks the
+    monomials in rising degree and adds each one's new coefficient at its
+    shift, down the chain of shifts until the next monomial of the old poly,
+    which carries it on in its own turn."""
+    def shift(e):
+        e = list(e)
+        e[i] += 1
+        e[j] += 1
+        return tuple(e)
+
+    if not inverse:
+        for e, c in list(poly.items()):
+            if sum(e) + 2 <= max_deg:
+                k = shift(e)
+                v = poly.get(k, 0) - c
+                if v:
+                    poly[k] = v
+                else:
+                    del poly[k]
+        return
+    for e in sorted(poly, key=sum):
+        c = poly.get(e)
+        if c is None:
+            continue
+        k = e
+        for _ in range((max_deg - sum(e)) // 2):
+            k = shift(k)
+            if k in poly:
+                v = poly[k] + c
+                if v:
+                    poly[k] = v
+                else:
+                    del poly[k]
+                break
+            poly[k] = c
+
+
 def _dominant_product(kind: str, nvars: int, max_deg: int) -> dict:
     """The dominant monomials of the product prod (1 - x_i x_j) over i<j
     (kind "A") or i<=j ("C"), or of the inverse products ("B", "D") via
     geometric factors, truncated at total degree max_deg.
 
-    Factors go in with i as the outer loop, so once row i is in, x_i's
-    exponent is final.  Exponents only grow, so a monomial is dropped as
-    soon as it can never become dominant: after each factor of row i > 0,
-    when e_i has passed the final e_{i-1}, and once row i is in, when a
-    later e_k is above e_i.  So e_0..e_i stay weakly decreasing."""
+    Each factor goes into the table in place (`_pair_step`), with i as the
+    outer loop, so once row i is in, x_i's exponent is final.  Exponents
+    only grow, so a monomial is dropped as soon as it can never become
+    dominant: after each factor of row i > 0, when e_i has passed the final
+    e_{i-1}, and once row i is in, when a later e_k is above e_i.  So
+    e_0..e_i stay weakly decreasing."""
     out = poly_one(nvars)
     inverse = kind in ("B", "D")
     strict = kind in ("A", "B")
     for i in range(nvars):
         for j in range(i + (1 if strict else 0), nvars):
-            out = poly_mul(out, pair_factor(nvars, i, j, inverse, max_deg), max_deg)
+            _pair_step(out, i, j, inverse, max_deg)
             if i:
                 out = {e: c for e, c in out.items() if e[i] <= e[i - 1]}
         out = {e: c for e, c in out.items() if max(e[i:]) == e[i]}

@@ -131,7 +131,8 @@ class CharElement(BasisTagged, TermTable):
 
     @classmethod
     def basis_element(cls, basis: Basis | str, p) -> "CharElement":
-        return cls(basis, [(p, 1)])
+        tag = basis if isinstance(basis, Basis) else Basis.parse(basis)
+        return cls._trusted({Partition(p): 1}, tag)
 
     def max_degree(self) -> int:
         return max((p.weight for p in self._terms), default=0)

@@ -15,25 +15,26 @@ ordering, JSON and rendering.  The rings supply their products and Hopf maps.
 
 The one sharing rule of the package: no coefficient table is mutated once
 built, so any table may be shared.  An element may wrap a table cached in
-`lr` or `char_rings`, and `x * 1` and a sum with an empty table may hand back
-an operand itself.  The public constructors validate keys and coefficients;
-ring code builds its results with the trusted `_trusted(table, tag)` instead,
-whose caller guarantees that every key is already canonical (a `Partition`,
-or a pair of them) and that no coefficient is zero.
+`lr`, `char_rings` or here, and `x * 1` and a sum with an empty table may
+hand back an operand itself.  The public constructors validate keys and
+coefficients; ring code builds its results with the trusted
+`_trusted(table, tag)` instead, whose caller guarantees that every key is
+already canonical (a `Partition`, or a pair of them) and that no coefficient
+is zero.
 
 The one extension rule of the package: every ring map is `_linear` or
 `_bilinear` over its value on basis elements, a cached per-term table (an LR
-or Newell-Littlewood product, a basis conversion) or a table whose keys
-never collide (one shape's coproduct, a slotwise product).  One term (one
-pair) is summed by handing back its image under the sharing rule, scaled
-into a new table unless its coefficient is 1, so s_a * s_b wraps lr's own
-table.  Two loops stay written out: `skew` drops a pair whose inner shape
-is heavier, taller or wider than the outer before `lr` is asked for its
-table, since a conversion skews each term by every series term up to its
-degree, and most of those cannot fit (its one-by-one path runs the same fit
-test, then hands back the table as `_bilinear` would); and
-`char_rings._contract` gathers unordered pairs first, so that each product
-expands once.
+or Newell-Littlewood product, a basis conversion, one shape's coproduct in
+the memo `_coproduct`) or a table whose keys never collide (a slotwise
+product).  One term (one pair) is summed by handing back its image under the
+sharing rule, scaled into a new table unless its coefficient is 1, so
+s_a * s_b wraps lr's own table and s_nu.coproduct() the memo's.  Two loops
+stay written out: `skew` drops a pair whose inner shape is heavier, taller
+or wider than the outer before `lr` is asked for its table, since a
+conversion skews each term by every series term up to its degree, and most
+of those cannot fit (its one-by-one path runs the same fit test, then hands
+back the table as `_bilinear` would); and `char_rings._contract` gathers
+unordered pairs first, so that each product expands once.
 
 Products, skews and coproducts read the Littlewood-Richardson tables cached
 in `lr` (`lr._product_terms`, `lr._skew_terms`), not through the validating
@@ -44,13 +45,14 @@ error from there.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import lr
 from .errors import InvalidArgumentError, _expect
 from .partition import (
     Partition,
     format_partition,
+    memo,
     subpartitions,
     term_sort_key,
 )
@@ -114,6 +116,27 @@ def _bilinear(xs: Mapping, ys: Mapping, image) -> dict:
     for p, a in xs.items():
         for q, b in ys.items():
             _add_scaled(table, image(p, q), a * b)
+    return table
+
+
+@memo
+def _coproduct(nu: Partition) -> dict:
+    """The coproduct of s_nu, sum c^nu_{lam,mu} s_lam (x) s_mu, as a table
+    keyed by (lam, mu).  subpartitions(nu) raises WeightLimitError past the
+    limit, as lr.skew_expansion(nu, lam) would."""
+    # c^nu_{lam,mu} = c^nu_{mu,lam}: skew by the inner shapes of at least
+    # half the weight, and mirror the pairs whose other slot is lighter; at
+    # exactly half, both orders are skewed.
+    skew = lr._skew_terms
+    weight = sum(nu)
+    table = {}
+    for lam in subpartitions(nu):
+        twice = 2 * sum(lam)
+        if twice >= weight:
+            for mu, c in skew(nu, lam).items():
+                table[lam, mu] = c
+                if twice > weight:
+                    table[mu, lam] = c
     return table
 
 
@@ -350,26 +373,7 @@ class SchurElement(TermTable):
         return sum(c * other._terms.get(p, 0) for p, c in self._terms.items())
 
     def coproduct(self) -> "TensorElement":
-        # subpartitions(nu) raises WeightLimitError past the limit, as
-        # lr.skew_expansion(nu, lam) would.
-        skew = lr._skew_terms
-
-        def image(nu):
-            # c^nu_{lam,mu} = c^nu_{mu,lam}: skew by the inner shapes of at
-            # least half the weight, and mirror the pairs whose other slot
-            # is lighter; at exactly half, both orders are skewed.
-            weight = sum(nu)
-            table = {}
-            for lam in subpartitions(nu):
-                twice = 2 * sum(lam)
-                if twice >= weight:
-                    for mu, c in skew(nu, lam).items():
-                        table[lam, mu] = c
-                        if twice > weight:
-                            table[mu, lam] = c
-            return table
-
-        return TensorElement._trusted(_linear(self._terms, image))
+        return TensorElement._trusted(_linear(self._terms, _coproduct))
 
     def counit(self) -> int:
         return self._terms.get(Partition(), 0)

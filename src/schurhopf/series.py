@@ -14,8 +14,11 @@ in odd degrees.  The closed forms for A and C are cross-checked in the test
 suite against a truncated expansion of the defining products.
 
 A series' checked terms and Delta'' tables are `partition.memo` tables keyed
-by the series, so they live until the registry evicts or clears them.  Every
-graded product here (a series product, the inverse's recurrence, both
+by the series, so they live until the registry evicts or clears them.  The
+degree-g piece of Delta''(T) does not depend on the cutoff, so it is a memo
+of its own, keyed by (T, g), and the table at a cutoff joins the pieces up
+to it; every piece reads T^-1 from one inverse per series, itself a memo.
+Every graded product here (a series product, the inverse's recurrence, both
 factors of Delta'') is one `_convolve`.
 """
 
@@ -262,7 +265,8 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
     delta_{sigma,tau}, which is what makes the generic tensor-product engine
     collapse to the orthogonal and symplectic rules.
 
-    The table is a memo per series and cutoff, which set_weight_limit empties.
+    The table is a memo per series and cutoff, joined from the memo of
+    each degree's piece; set_weight_limit empties both.
     """
     _expect(t, SchurSeries)
     cut = t.cutoff if cutoff is None else cutoff
@@ -274,14 +278,28 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
 
 @memo
 def _delta_double_prime(t: SchurSeries, cut: int) -> TensorSeriesCoefficients:
-    inv = series_inverse(t, cut)
-
-    def inv_square(g: int) -> TensorElement:
-        # the degree-g piece of T^-1 (x) T^-1
-        return _convolve(g, inv.term, inv.term, TensorElement.pure)
-
     entries: dict = {}
     for g in range(cut + 1):
         # the keys of degree g have |sigma| + |tau| = g, so degrees never clash
-        entries.update(_convolve(g, inv_square, lambda e: t.term(e).coproduct())._terms)
+        entries.update(_delta_piece(t, g))
     return TensorSeriesCoefficients._trusted(entries, cut)
+
+
+@memo
+def _delta_piece(t: SchurSeries, g: int) -> dict:
+    """The degree-g piece of Delta''(T), the same table at every cutoff that
+    reaches g."""
+    inv = _inverse(t)
+
+    def inv_square(e: int) -> TensorElement:
+        # the degree-e piece of T^-1 (x) T^-1
+        return _convolve(e, inv.term, inv.term, TensorElement.pure)
+
+    return _convolve(g, inv_square, lambda e: t.term(e).coproduct())._terms
+
+
+@memo
+def _inverse(t: SchurSeries) -> SchurSeries:
+    """T^-1 at T's cutoff, so that every piece of Delta''(T) reads its terms
+    from one series."""
+    return series_inverse(t)

@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhopf import lr
-from schurhopf.partition import Partition, partitions_up_to, subpartitions
-from schurhopf.schur_ring import SchurElement, TensorElement, _linear
+from schurhopf import lr, schur_ring, verify
+from schurhopf.partition import Partition, clear_caches, partitions_up_to, subpartitions
+from schurhopf.schur_ring import SchurElement, TensorElement, _coproduct, _linear
 
 
 P = Partition
@@ -163,6 +163,30 @@ def test_coproduct_is_every_skew_of_the_shape():
             for mu, c in lr.skew_expansion(nu, lam).items()
         }
         assert dict(s(nu).coproduct().items()) == expected, nu
+
+
+def test_a_shape_coproduct_wraps_the_memo_table():
+    nu = P((3, 2, 1))
+    table = _coproduct(nu)
+    before = dict(table)
+    assert s(nu).coproduct()._terms is table
+    assert dict((-2 * s(nu)).coproduct().items()) == _scaled(before, -2)
+    # the shared table is still the one the memo built
+    assert _coproduct(nu) is table
+    assert table == before
+
+
+def test_verify_builds_each_shape_coproduct_once(monkeypatch):
+    asked = []
+
+    def counting(nu):
+        asked.append(nu)
+        return _coproduct(nu)
+
+    monkeypatch.setattr(schur_ring, "_coproduct", counting)
+    clear_caches()
+    assert all(r.passed for r in verify.run_suite("all"))
+    assert _coproduct.cache_info().misses == len(set(asked)) < len(asked)
 
 
 def test_counit():

@@ -338,12 +338,26 @@ def test_generic_tensor_product_builds_each_cutoff_once(monkeypatch):
         return series_inverse(s, cutoff, name)
 
     monkeypatch.setattr(series_module, "series_inverse", counting)
-    t = littlewood_series("D", 8)
     shapes = [p for w in range(3) for p in partitions_of(w)]
-    for lam in shapes:
-        for mu in shapes:
-            tensor_product_generic(lam, mu, t)
-    assert sorted(builds) == [0, 1, 2, 3, 4]
+    for name in ("D", "B"):
+        t = littlewood_series(name, 8)
+        for lam in shapes:
+            for mu in shapes:
+                tensor_product_generic(lam, mu, t)
+    # every cutoff 0..4 of a series shares one inverse
+    assert builds == [None, None]
+
+
+@pytest.mark.parametrize("name", ["A", "D"])
+def test_delta_double_prime_cutoffs_share_their_pieces(name):
+    t = littlewood_series(name, 8)
+    low = delta_double_prime(t, 4)
+    full = delta_double_prime(t, 8)
+    restricted = [
+        (key, c) for key, c in full.items() if key[0].weight + key[1].weight <= 4
+    ]
+    assert list(low.items()) == restricted
+    assert (low.cutoff, full.cutoff) == (4, 8)
 
 
 @pytest.mark.parametrize("name", ["A", "C"])
