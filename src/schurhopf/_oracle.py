@@ -12,16 +12,19 @@ the coefficient of a dominant x^mu in s_lam is the Kostka number K_{lam,mu}
 polynomial is expanded back into the Schur basis from its dominant monomials
 alone, by repeatedly taking the lex-leading one and subtracting that multiple
 of its Kostka row, which is valid whenever the variable count is at least
-the degree.  The defining products of the Littlewood series are expanded
-one factor 1 - x_i x_j (or its geometric inverse) at a time, in place: a
-factor shifts the polynomial by x_i x_j and subtracts, or adds down the
-chain of shifts in rising degree, with no factor polynomial written out.
-Only monomials that can still become dominant are kept; the pruning is exact
+the degree.  The defining products of the Littlewood series, and the
+Cauchy kernels that `evaluate` checks, are expanded one factor 1 - x_i x_j
+(or its geometric inverse) at a time, in place: a factor shifts the
+polynomial by x_i x_j and subtracts, or adds down the chain of shifts in
+rising degree, with no factor polynomial written out.  For the series, only
+monomials that can still become dominant are kept; the pruning is exact
 because exponents only grow as factors go in.  A product s_lam s_mu is read
 the same way: each dominant coefficient is a sum of products of two Kostka
-numbers, so neither factor is ever written out in full.  The route that
-multiplies whole Schur polynomials, with its guard that every orbit of
-monomials is present, is kept in the tests (`tests/oracle_reference.py`).
+numbers, so neither factor is ever written out in full.  The routes that
+multiply whole polynomials (the full product `poly_mul`, the written-out
+factor `pair_factor`, and the Schur expansion with its guard that every
+orbit of monomials is present) are kept in the tests, as the references in
+`tests/oracle_reference.py`.
 
 Nothing in this module touches the Littlewood-Richardson code; that is the
 point, since these routines referee it.
@@ -30,7 +33,6 @@ point, since these routines referee it.
 from __future__ import annotations
 
 from itertools import product
-from operator import add
 
 from .partition import Partition, memo, partitions_of
 
@@ -56,23 +58,6 @@ def horizontal_extensions(mu, cap):
         while k and nu[k - 1] == 0:
             k -= 1
         out.append((nu[:k], sum(nu) - size))
-    return out
-
-
-def poly_mul(a: dict, b: dict, max_deg: int | None = None) -> dict:
-    out: dict = {}
-    right = [(eb, cb, sum(eb)) for eb, cb in b.items()]
-    for ea, ca in a.items():
-        room = None if max_deg is None else max_deg - sum(ea)
-        for eb, cb, db in right:
-            if room is not None and db > room:
-                continue
-            e = tuple(map(add, ea, eb))
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            else:
-                del out[e]
     return out
 
 
@@ -163,26 +148,13 @@ def schur_expand_dominant(dominant: dict, nvars: int) -> dict[Partition, int]:
     return out
 
 
-def pair_factor(nvars: int, i: int, j: int, inverse: bool, max_deg: int) -> dict:
-    """The factor 1 - x_i x_j in nvars variables, or with inverse its
-    geometric inverse sum_m (x_i x_j)^m truncated at total degree max_deg;
-    i == j gives 1 - x_i^2 and its inverse.  max_deg bounds only the
-    inverse: the direct factor is always returned whole."""
-    def power(m):
-        e = [0] * nvars
-        e[i] += m
-        e[j] += m
-        return tuple(e)
-    if inverse:
-        return {power(m): 1 for m in range(max_deg // 2 + 1)}
-    return {power(0): 1, power(1): -1}
-
-
 def _pair_step(poly: dict, i: int, j: int, inverse: bool, max_deg: int) -> None:
     """Multiply poly in place by the factor 1 - x_i x_j, or with inverse by
-    its geometric inverse, truncated at total degree max_deg: poly becomes
-    poly_mul(poly, pair_factor(nvars, i, j, inverse, max_deg), max_deg),
-    for poly of total degree at most max_deg.
+    its geometric inverse 1 + x_i x_j + (x_i x_j)^2 + ..., and drop every
+    monomial of total degree above max_deg; poly must have total degree at
+    most max_deg.  i == j gives 1 - x_i^2 and its inverse.  The tests hold
+    this equal to the full product with the written-out factor
+    (`poly_mul` and `pair_factor` in `tests/oracle_reference.py`).
 
     x_i x_j shifts a monomial two degrees up.  The direct factor subtracts
     each old coefficient at its shift, read from a snapshot of the items.

@@ -24,16 +24,15 @@ is zero.
 
 The one extension rule of the package: every ring map is `_linear` or
 `_bilinear` over its value on basis elements, a cached per-term table (an LR
-or Newell-Littlewood product, a basis conversion, one shape's coproduct in
-the memo `_coproduct`) or a table whose keys never collide (a slotwise
-product).  One term (one pair) is summed by handing back its image under the
-sharing rule, scaled into a new table unless its coefficient is 1, so
-s_a * s_b wraps lr's own table and s_nu.coproduct() the memo's.  Two loops
-stay written out: `skew` drops a pair whose inner shape is heavier, taller
-or wider than the outer before `lr` is asked for its table, since a
-conversion skews each term by every series term up to its degree, and most
-of those cannot fit (its one-by-one path runs the same fit test, then hands
-back the table as `_bilinear` would); and `char_rings._contract` gathers
+or Newell-Littlewood product or skew, a basis conversion, one shape's
+coproduct in the memo `_coproduct`) or a table whose keys never collide (a
+slotwise product).  One term (one pair) is summed by handing back its image
+under the sharing rule, scaled into a new table unless its coefficient is 1,
+so s_a * s_b wraps lr's own table and s_nu.coproduct() the memo's.  The skew's
+image, `_fitted_skew`, drops a pair whose inner shape is heavier, taller or
+wider than the outer before `lr` is asked for its table, since a conversion
+skews each term by every series term up to its degree, and most of those
+cannot fit.  One loop stays written out: `char_rings._contract` gathers
 unordered pairs first, so that each product expands once.
 
 Products, skews and coproducts read the Littlewood-Richardson tables cached
@@ -115,7 +114,9 @@ def _bilinear(xs: Mapping, ys: Mapping, image) -> dict:
     table: dict = {}
     for p, a in xs.items():
         for q, b in ys.items():
-            _add_scaled(table, image(p, q), a * b)
+            # most pairs of a skew by a series have an empty image
+            if terms := image(p, q):
+                _add_scaled(table, terms, a * b)
     return table
 
 
@@ -138,6 +139,14 @@ def _coproduct(nu: Partition) -> dict:
                 if twice > weight:
                     table[mu, lam] = c
     return table
+
+
+def _fitted_skew(p: Partition, q: Partition) -> dict:
+    """lr's table of s_p / s_q, or a fresh {} when q is heavier, taller or
+    wider than p, so that lr is never asked for a table that must be empty."""
+    if len(q) <= len(p) and (not q or q[0] <= p[0]) and sum(q) <= sum(p):
+        return lr._skew_terms(p, q)
+    return {}
 
 
 def _from_json(make, obj, key):
@@ -344,26 +353,7 @@ class SchurElement(TermTable):
         """Skew by an element (the adjoint of multiplication): self / inner."""
         if not isinstance(inner, SchurElement):
             inner = SchurElement.basis(inner)
-        skew = lr._skew_terms
-        # Not _bilinear: a pair whose inner shape is heavier, taller or
-        # wider than the outer one cannot fit, and is dropped before lr is
-        # asked for its (empty) table.  One pair runs the same test.
-        if len(self._terms) == 1 and len(inner._terms) == 1:
-            [(p, a)] = self._terms.items()
-            [(q, b)] = inner._terms.items()
-            if sum(q) <= sum(p) and len(q) <= len(p) and (not q or q[0] <= p[0]):
-                return SchurElement._trusted(_scaled_image(skew(p, q), a * b))
-            return SchurElement.zero()
-        right = [
-            (q, b, sum(q), len(q), q[0] if q else 0) for q, b in inner._terms.items()
-        ]
-        table: dict[Partition, int] = {}
-        for p, a in self._terms.items():
-            wp, lp, p0 = sum(p), len(p), p[0] if p else 0
-            for q, b, wq, lq, q0 in right:
-                if wq <= wp and lq <= lp and q0 <= p0:
-                    _add_scaled(table, skew(p, q), a * b)
-        return SchurElement._trusted(table)
+        return SchurElement._trusted(_bilinear(self._terms, inner._terms, _fitted_skew))
 
     def scalar_product(self, other: "SchurElement") -> int:
         """The Hall pairing; Schur functions are orthonormal."""

@@ -271,6 +271,8 @@ def delta_double_prime(t: SchurSeries, cutoff: int | None = None) -> TensorSerie
     _expect(t, SchurSeries)
     cut = t.cutoff if cutoff is None else cutoff
     _expect(cut, int)
+    if cut < 0:
+        raise InvalidArgumentError("cutoff must be nonnegative")
     if cut > t.cutoff:
         raise DegreeOverflowError("cutoff exceeds the series cutoff")
     return _delta_double_prime(t, cut)

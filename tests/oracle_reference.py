@@ -5,13 +5,51 @@ Schur polynomials, in every monomial and writes the result in the Schur basis
 by subtracting whole Schur polynomials, after checking that the polynomial is
 symmetric.  `_oracle` now keeps only the dominant monomials and subtracts
 Kostka rows; the tests hold the two routes equal.
+
+`poly_mul` multiplies two polynomials in full, and `pair_factor` writes out
+one factor 1 - x_i x_j or its truncated geometric inverse.  Their product is
+the reference for `_oracle._pair_step`, which puts a factor into a
+polynomial in place, for the Littlewood series and the Cauchy kernels alike.
 """
 
 from collections import Counter
 from math import factorial
+from operator import add
 
-from schurhopf._oracle import poly_mul, poly_one, schur_polynomial
+from schurhopf._oracle import poly_one, schur_polynomial
 from schurhopf.partition import Partition
+
+
+def poly_mul(a: dict, b: dict, max_deg: int | None = None) -> dict:
+    out: dict = {}
+    right = [(eb, cb, sum(eb)) for eb, cb in b.items()]
+    for ea, ca in a.items():
+        room = None if max_deg is None else max_deg - sum(ea)
+        for eb, cb, db in right:
+            if room is not None and db > room:
+                continue
+            e = tuple(map(add, ea, eb))
+            c = out.get(e, 0) + ca * cb
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
+def pair_factor(nvars: int, i: int, j: int, inverse: bool, max_deg: int) -> dict:
+    """The factor 1 - x_i x_j in nvars variables, or with inverse its
+    geometric inverse sum_m (x_i x_j)^m truncated at total degree max_deg;
+    i == j gives 1 - x_i^2 and its inverse.  max_deg bounds only the
+    inverse: the direct factor is always returned whole."""
+    def power(m):
+        e = [0] * nvars
+        e[i] += m
+        e[j] += m
+        return tuple(e)
+    if inverse:
+        return {power(m): 1 for m in range(max_deg // 2 + 1)}
+    return {power(0): 1, power(1): -1}
 
 
 def poly_add(a, b, scale=1):
@@ -33,21 +71,7 @@ def littlewood_product_poly(kind, nvars, max_deg):
     strict = kind in ("A", "B")
     for i in range(nvars):
         for j in range(i + (1 if strict else 0), nvars):
-            if inverse:
-                factor = {}
-                m = 0
-                while 2 * m <= max_deg:
-                    e = [0] * nvars
-                    e[i] += m
-                    e[j] += m
-                    factor[tuple(e)] = 1
-                    m += 1
-            else:
-                e = [0] * nvars
-                e[i] += 1
-                e[j] += 1
-                factor = {(0,) * nvars: 1, tuple(e): -1}
-            out = poly_mul(out, factor, max_deg)
+            out = poly_mul(out, pair_factor(nvars, i, j, inverse, max_deg), max_deg)
     return out
 
 

@@ -98,6 +98,10 @@ TYPED_ERRORS = {
     "scalar_product with an int": (
         lambda: SchurElement.one().scalar_product(3), InvalidArgumentError
     ),
+    "delta_double_prime with a negative cutoff": (
+        lambda: schurhopf.delta_double_prime(littlewood_series("D", 4), -1),
+        InvalidArgumentError,
+    ),
     "diagonal_defects through text": (
         lambda: schurhopf.delta_double_prime(littlewood_series("D", 4)).diagonal_defects("x"),
         InvalidArgumentError,

@@ -1,10 +1,12 @@
 """Every ring map is extended linearly by `schur_ring`'s core.
 
 `schur_ring._linear` and `_bilinear` are the one place that adds scaled
-per-term tables into a result, through `_add_scaled`.  So only
-`schur_ring.py` calls `_add_scaled`, and the modules that build ring maps on
-the core (`char_rings`, `series`, `verify`) import neither `_add_scaled` nor
-`_merge`, the primitives a hand-rolled merge loop would start from.
+per-term tables into a result, through `_add_scaled`.  So only those two and
+the sum of two tables (`TermTable._plus`) call `_add_scaled`: no other
+function of `schur_ring.py` does, skew included, and no other module.  The
+modules that build ring maps on the core (`char_rings`, `series`, `verify`)
+import neither `_add_scaled` nor `_merge`, the primitives a hand-rolled
+merge loop would start from.
 
 Nor do `series`, `char_rings` and `verify` sum elements in a loop that
 rebinds a running total (`total = total + x`, `total -= x`): each such sum
@@ -23,19 +25,31 @@ PACKAGE = Path(schurhopf.__file__).parent
 _MAP_MODULES = {"char_rings.py", "series.py", "verify.py"}
 _PRIMITIVES = {"_add_scaled", "_merge"}
 _NO_RUNNING_TOTALS = {"series.py", "char_rings.py", "verify.py"}
+# The functions of schur_ring.py that may call _add_scaled, by qualified name.
+_CORE_SUMS = {"_linear", "_bilinear", "TermTable._plus"}
 
 
 def _breaches(source: str, module: str) -> list[str]:
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and module in _MAP_MODULES:
-            for name in sorted({a.name for a in node.names} & _PRIMITIVES):
-                found.append(f"import {name} (line {node.lineno})")
-        elif isinstance(node, ast.Call) and module != "schur_ring.py":
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "_add_scaled":
-                found.append(f"_add_scaled (line {node.lineno})")
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and module in _MAP_MODULES:
+                for name in sorted({a.name for a in child.names} & _PRIMITIVES):
+                    found.append(f"import {name} (line {child.lineno})")
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_add_scaled" and (
+                    module != "schur_ring.py" or scope not in _CORE_SUMS
+                ):
+                    found.append(f"_add_scaled (line {child.lineno})")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
     return found
 
 
@@ -72,7 +86,21 @@ def test_the_lint_sees_a_hand_rolled_merge_loop():
         "_add_scaled (line 12)",
         "_add_scaled (line 6)",
     ]
-    assert _breaches(source, "schur_ring.py") == []
+    # inside schur_ring.py too, only the core sums may call it
+    assert sorted(_breaches(source, "schur_ring.py")) == [
+        "_add_scaled (line 12)",
+        "_add_scaled (line 6)",
+    ]
+    # a method is known by its class: only TermTable's _plus is a core sum
+    plus = (
+        "class TermTable:\n"
+        "    def _plus(self, other, sign):\n"
+        "        _add_scaled(table, other._terms, sign)\n"
+        "class SchurElement(TermTable):\n"
+        "    def _plus(self, other, sign):\n"
+        "        _add_scaled(table, other._terms, sign)\n"
+    )
+    assert _breaches(plus, "schur_ring.py") == ["_add_scaled (line 6)"]
 
 
 def _running_totals(source: str) -> list[str]:

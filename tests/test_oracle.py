@@ -42,7 +42,7 @@ def _naive_mul(a, b, max_deg):
 @given(_poly_pairs(), st.one_of(st.none(), st.integers(0, 12)))
 def test_poly_mul_matches_naive_truncated_product(pair, max_deg):
     a, b = pair
-    assert _oracle.poly_mul(a, b, max_deg) == _naive_mul(a, b, max_deg)
+    assert oracle_reference.poly_mul(a, b, max_deg) == _naive_mul(a, b, max_deg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,8 +72,8 @@ def test_pair_step_matches_the_factor_product():
         for i in range(nvars):
             for j in range(i, nvars):
                 for inverse in (False, True):
-                    factor = _oracle.pair_factor(nvars, i, j, inverse, max_deg)
-                    want = _oracle.poly_mul(poly, factor, max_deg)
+                    factor = oracle_reference.pair_factor(nvars, i, j, inverse, max_deg)
+                    want = oracle_reference.poly_mul(poly, factor, max_deg)
                     got = dict(poly)
                     _oracle._pair_step(got, i, j, inverse, max_deg)
                     assert got == want, (poly, i, j, inverse, max_deg)
@@ -125,7 +125,9 @@ def test_expansion_refuses_a_non_symmetric_polynomial():
     # the dominant expansion reads {(2,1,0): 1} as m_21 = s_21 - 2 s_111
     assert _oracle.schur_expand_dominant({(2, 1, 0): 1}, 3) == {(2, 1): 1, (1, 1, 1): -2}
     # s_2 s_1 in full reads back as s_3 + s_21
-    prod = _oracle.poly_mul(_oracle.schur_polynomial((2,), 3), _oracle.schur_polynomial((1,), 3))
+    prod = oracle_reference.poly_mul(
+        _oracle.schur_polynomial((2,), 3), _oracle.schur_polynomial((1,), 3)
+    )
     assert oracle_reference.schur_expand_homogeneous(prod, 3) == {(3,): 1, (2, 1): 1}
 
 

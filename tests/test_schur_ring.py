@@ -90,6 +90,12 @@ def test_skew_drops_inner_shapes_that_cannot_fit_before_lr():
         after = lr.cache_info()["skew"]
         assert got == SchurElement.zero()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+    # in a mixed sum only (1,1) fits inside (2,2): one skew table is asked for
+    clear_caches()
+    got = s(P((2, 2))).skew(s(P((3,))) + s(P((1, 1))))
+    info = lr.cache_info()["skew"]
+    assert (info.hits, info.misses) == (0, 1)
+    assert got == s(P((2, 2))).skew(P((1, 1)))
 
 
 def test_one_by_one_products_and_skews_share_the_lr_table():
